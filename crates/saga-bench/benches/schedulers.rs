@@ -1,6 +1,6 @@
 //! Schedule-generation time per algorithm, on a small chains instance and a
 //! larger montage instance — the measured counterpart of Table I's
-//! complexity column.
+//! complexity column — plus BIL's level-table regimes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,6 +24,33 @@ fn bench_schedulers(c: &mut Criterion) {
     group.finish();
 }
 
+/// BIL on a reused context, as the fig2 engine and the annealer run it:
+/// where its pruned level scan wins (the IoT etl graph on a 110-node
+/// edge/fog/cloud network) and where it must not lose (a PISA-sized 4-task
+/// chain on 4 nodes).
+fn bench_bil(c: &mut Criterion) {
+    use rand::SeedableRng;
+    use saga_datasets::iot;
+    use saga_schedulers::Scheduler;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let etl = saga_core::Instance::new(
+        iot::build_edge_fog_cloud(100, 5, 5),
+        iot::etl_graph(&mut rng),
+    );
+    let chain = saga_core::Instance::new(
+        saga_core::Network::complete(&[0.3, 0.6, 0.8, 1.0], 0.5),
+        saga_core::TaskGraph::chain(&[0.5, 0.7, 0.9, 0.4], &[0.3, 0.2, 0.6]),
+    );
+    let mut ctx = saga_core::SchedContext::new();
+    let mut group = c.benchmark_group("bil");
+    for (label, inst) in [("etl_efc110", &etl), ("chain4_n4", &chain)] {
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(saga_schedulers::Bil.makespan_into(black_box(inst), &mut ctx)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_exact(c: &mut Criterion) {
     // exponential references on a toy instance only
     let mut g = saga_core::TaskGraph::chain(&[0.5, 0.7, 0.9, 0.4], &[0.3, 0.2, 0.6]);
@@ -39,5 +66,5 @@ fn bench_exact(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_schedulers, bench_exact);
+criterion_group!(benches, bench_schedulers, bench_bil, bench_exact);
 criterion_main!(benches);

@@ -14,9 +14,9 @@
 //!
 //! Usage: `app_pisa [workflow|all] [--instances N] [--imax N] [--restarts R]
 //! [--ccr X] [--seed S] [--resume] [--shard i/N] [--checkpoint PATH]`.
-//! Default workflow: `srasearch`; defaults trade the paper's CPU-hours for
-//! minutes (see EXPERIMENTS.md). With `--shard i/N` only that slice of each
-//! workflow's cells runs, against per-shard checkpoints
+//! Default workflow: `srasearch`; defaults (`--imax 300 --restarts 2`)
+//! trade the paper's CPU-hours for minutes. With `--shard i/N` only that
+//! slice of each workflow's cells runs, against per-shard checkpoints
 //! (`…_cells.shard{i}of{N}.jsonl`; `--checkpoint` overrides the path for
 //! single-workflow runs), and rendering is skipped — `saga-merge` the
 //! shards, then re-run with `--resume` to render.

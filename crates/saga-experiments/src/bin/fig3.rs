@@ -3,8 +3,9 @@
 //! comparison.
 //!
 //! Prints Gantt charts for HEFT and CPoP on (a) the paper's exact instance
-//! and (b) the tie-break-robust variant (node 3 slightly faster — see
-//! EXPERIMENTS.md for why the exact instance is tie-break sensitive).
+//! and (b) the tie-break-robust variant (node 3 slightly faster). On the
+//! exact instance every HEFT EFT ties, so the outcome depends on tie order;
+//! see `fixtures::fig3_variant_original` for why the variant is needed.
 //!
 //! The (variant × scheduler) cells run on the batch engine — tiny here, but
 //! every experiment bin goes through the same sharded, context-pooled path,

@@ -18,8 +18,10 @@
 //!
 //! Budgets are CLI-tunable (`--instances`, `--imax`, `--restarts`) because
 //! the paper's full budgets take CPU-hours; defaults are sized to finish in
-//! minutes while preserving every qualitative claim. EXPERIMENTS.md records
-//! paper-vs-measured values.
+//! minutes while preserving every qualitative claim. The figure binaries
+//! (`fig2`–`fig4`, `fig7`, `fig8`, `app_pisa`) print their paper checks
+//! beside the measured values; all but `fig3` also write CSVs under
+//! `results/`.
 
 use saga_core::Instance;
 use saga_schedulers::Scheduler;

@@ -16,7 +16,21 @@
 //! machinery; the original's k-th-order-statistic refinement for resolving
 //! contention between equally-ready tasks is simplified to the max/min rule
 //! above (documented deviation — it affects only dense tie situations).
-//! Complexity `O(|T|^2 |V| log |V|)` per the original analysis.
+//! The original analysis gives `O(|T|^2 |V| log |V|)`.
+//!
+//! The level table as defined costs `O(|E| |V|^2)`: every (edge, node)
+//! pair scans every other node. Ours stores each finished row's node order,
+//! sorted ascending by level, and a scan stops at the first node whose
+//! level is not below the running best. A move to that node or any later
+//! one costs at least its level, because messages never take negative
+//! time, so none can lower the best, and `f64::min` over the nodes visited
+//! gives the same float in any order (ARCHITECTURE.md, "Exact-equivalence
+//! optimizations"). The table then costs `O(|T| |V| log |V|)` for sorting
+//! plus, per (edge, node), only the nodes whose levels undercut the
+//! stay-put level: on the ~110-node IoT networks, the few fog and cloud
+//! nodes. The selection loop recomposes every start from
+//! [`util::FrontierSweep`]'s cached data-ready rows, so a step costs
+//! `O(|ready| |V|)` with no division.
 
 use crate::{util, KernelRun};
 use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
@@ -26,34 +40,58 @@ use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
 pub struct Bil;
 
 /// Computes the `BIL(t, v)` table, reverse-topologically, into a flat
-/// task-major buffer (`out[t * |V| + v]`).
-fn bil_table_into(ctx: &SchedContext, out: &mut Vec<f64>) {
+/// task-major buffer (`out[t * |V| + v]`). `order` receives each row's
+/// nodes sorted ascending by level, equal levels in node-id order, which
+/// lets a predecessor's scan stop early (see the module docs).
+fn bil_table_into(ctx: &SchedContext, out: &mut Vec<f64>, order: &mut Vec<NodeId>) {
     let nv = ctx.node_count();
     out.clear();
     out.resize(ctx.task_count() * nv, 0.0);
+    order.clear();
+    order.resize(ctx.task_count() * nv, NodeId(0));
     for &t in ctx.topo_order().iter().rev() {
         for v in ctx.nodes() {
             let mut level = 0.0f64;
             for (st, cost) in ctx.succs(t) {
+                let row = &out[st.index() * nv..][..nv];
                 // successor stays on v...
-                let mut best = out[st.index() * nv + v.index()];
-                // ...or moves elsewhere, paying the message
-                for v2 in ctx.nodes() {
-                    if v2 != v {
-                        let candidate =
-                            out[st.index() * nv + v2.index()] + ctx.comm_time(cost, v, v2);
-                        best = best.min(candidate);
+                let mut best = row[v.index()];
+                // ...or moves to a node whose own level undercuts the best
+                // so far, paying the message
+                for &v2 in &order[st.index() * nv..][..nv] {
+                    let on_v2 = row[v2.index()];
+                    if on_v2 >= best {
+                        break;
                     }
+                    best = best.min(on_v2 + ctx.comm_time(cost, v, v2));
                 }
                 level = level.max(best);
             }
             out[t.index() * nv + v.index()] = ctx.exec_time(t, v) + level;
         }
+        let row = &out[t.index() * nv..][..nv];
+        let nodes = &mut order[t.index() * nv..][..nv];
+        for (i, slot) in nodes.iter_mut().enumerate() {
+            *slot = NodeId(i as u32);
+        }
+        // `total_cmp` keeps the order total even for a NaN level, which
+        // never stops a scan (`NaN >= best` is false) and which `f64::min`
+        // skips, as in the full scan
+        nodes.sort_unstable_by(|a, b| row[a.index()].total_cmp(&row[b.index()]).then(a.cmp(b)));
     }
 }
 
+/// [`bil_table_into`] with the node-order buffer borrowed from `ctx`'s pool.
+fn bil_table(ctx: &mut SchedContext) -> Vec<f64> {
+    let mut bil = ctx.take_f64();
+    let mut order = ctx.take_nodes();
+    bil_table_into(ctx, &mut bil, &mut order);
+    ctx.give_nodes(order);
+    bil
+}
+
 /// BIL's selection loop from whatever partial state `ctx` is in.
-fn bil_loop(ctx: &mut SchedContext, bil: &[f64]) {
+fn bil_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, bil: &[f64]) {
     let n = ctx.task_count();
     let nv = ctx.node_count();
     while ctx.placed_count() < n {
@@ -61,10 +99,13 @@ fn bil_loop(ctx: &mut SchedContext, bil: &[f64]) {
         // the task with the largest best-BIM is the most urgent
         let mut chosen: Option<(TaskId, NodeId, f64, f64)> = None;
         for &t in ctx.ready() {
-            let mut best_node: Option<(NodeId, f64, f64)> = None; // (v, start, bim)
-            for v in ctx.nodes() {
-                let (s, _) = ctx.eft(t, v, false);
-                let bim = s + bil[t.index() * nv + v.index()];
+            // the start on v is `sweep.start(ctx, t, v)`, read as whole rows
+            let mut best_node: Option<(usize, f64, f64)> = None; // (v, start, bim)
+            let levels = &bil[t.index() * nv..][..nv];
+            let rows = ctx.append_tails().iter().zip(sweep.row(nv, t));
+            for (v, (&level, (&tail, &ready))) in levels.iter().zip(rows).enumerate() {
+                let s = tail.max(ready);
+                let bim = s + level;
                 let better = match best_node {
                     None => true,
                     Some((_, _, bb)) => bim < bb,
@@ -79,11 +120,12 @@ fn bil_loop(ctx: &mut SchedContext, bil: &[f64]) {
                 Some((ct, _, _, cb)) => bim > cb || (bim == cb && t < ct),
             };
             if better {
-                chosen = Some((t, v, s, bim));
+                chosen = Some((t, NodeId(v as u32), s, bim));
             }
         }
         let (t, v, s, _) = chosen.expect("ready set cannot be empty in a DAG");
         ctx.place(t, v, s);
+        sweep.note_placed(ctx, t);
     }
 }
 
@@ -94,9 +136,10 @@ impl KernelRun for Bil {
 
     fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
         ctx.reset(inst);
-        let mut bil = ctx.take_f64();
-        bil_table_into(ctx, &mut bil);
-        bil_loop(ctx, &bil);
+        let bil = bil_table(ctx);
+        let mut sweep = util::FrontierSweep::new(ctx);
+        bil_loop(ctx, &mut sweep, &bil);
+        sweep.release(ctx);
         ctx.give_f64(bil);
     }
 
@@ -108,8 +151,7 @@ impl KernelRun for Bil {
         dirty: &DirtyRegion,
     ) {
         ctx.reset(inst);
-        let mut bil = ctx.take_f64();
-        bil_table_into(ctx, &mut bil);
+        let bil = bil_table(ctx);
         ctx.begin_recording();
         // a ready task's BIM folds its whole BIL row into the selection, so
         // the replay additionally stops once a task whose BIL row bits
@@ -136,7 +178,9 @@ impl KernelRun for Bil {
             });
             ctx.give_tasks(changed);
         }
-        bil_loop(ctx, &bil);
+        let mut sweep = util::FrontierSweep::new(ctx);
+        bil_loop(ctx, &mut sweep, &bil);
+        sweep.release(ctx);
         ctx.take_recording(trace);
         trace.set_aux(&bil);
         ctx.give_f64(bil);
@@ -163,7 +207,7 @@ mod tests {
         let mut ctx = SchedContext::new();
         ctx.reset(&inst);
         let mut bil = Vec::new();
-        bil_table_into(&ctx, &mut bil);
+        bil_table_into(&ctx, &mut bil, &mut Vec::new());
         let nv = ctx.node_count();
         // t4 (sink, cost 0.8) on v2 (speed 1.5): BIL = 0.8 / 1.5
         assert!((bil[3 * nv + 2] - 0.8 / 1.5).abs() < 1e-12);
@@ -197,5 +241,203 @@ mod tests {
         let s = Bil.schedule(&inst);
         assert_eq!(s.assignment(t).node, saga_core::NodeId(1));
         assert!((s.makespan() - 1.0).abs() < 1e-12);
+    }
+
+    /// The level table as defined, by the full `O(|E| |V|^2)` scan — the
+    /// oracle the pruned [`bil_table_into`] must reproduce bit for bit.
+    fn full_scan_table(ctx: &SchedContext) -> Vec<f64> {
+        let nv = ctx.node_count();
+        let mut out = vec![0.0; ctx.task_count() * nv];
+        for &t in ctx.topo_order().iter().rev() {
+            for v in ctx.nodes() {
+                let mut level = 0.0f64;
+                for (st, cost) in ctx.succs(t) {
+                    let mut best = out[st.index() * nv + v.index()];
+                    for v2 in ctx.nodes() {
+                        if v2 != v {
+                            let candidate =
+                                out[st.index() * nv + v2.index()] + ctx.comm_time(cost, v, v2);
+                            best = best.min(candidate);
+                        }
+                    }
+                    level = level.max(best);
+                }
+                out[t.index() * nv + v.index()] = ctx.exec_time(t, v) + level;
+            }
+        }
+        out
+    }
+
+    /// BIL by the oracle table and per-(task, node) `eft` queries.
+    fn oracle_schedule(inst: &Instance) -> saga_core::Schedule {
+        let mut ctx = SchedContext::new();
+        ctx.reset(inst);
+        let bil = full_scan_table(&ctx);
+        let nv = ctx.node_count();
+        while ctx.placed_count() < ctx.task_count() {
+            let mut chosen: Option<(TaskId, NodeId, f64, f64)> = None;
+            for &t in ctx.ready() {
+                let mut best_node: Option<(NodeId, f64, f64)> = None;
+                for v in ctx.nodes() {
+                    let (s, _) = ctx.eft(t, v, false);
+                    let bim = s + bil[t.index() * nv + v.index()];
+                    if best_node.is_none_or(|(_, _, bb)| bim < bb) {
+                        best_node = Some((v, s, bim));
+                    }
+                }
+                let (v, s, bim) = best_node.unwrap();
+                if chosen.is_none_or(|(ct, _, _, cb)| bim > cb || (bim == cb && t < ct)) {
+                    chosen = Some((t, v, s, bim));
+                }
+            }
+            let (t, v, s, _) = chosen.unwrap();
+            ctx.place(t, v, s);
+        }
+        ctx.snapshot_schedule()
+    }
+
+    fn assert_tables_match(inst: &Instance, what: &str) {
+        let mut ctx = SchedContext::new();
+        ctx.reset(inst);
+        let (mut pruned, mut order) = (Vec::new(), Vec::new());
+        bil_table_into(&ctx, &mut pruned, &mut order);
+        let full = full_scan_table(&ctx);
+        for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
+            assert_eq!(
+                p.to_bits(),
+                f.to_bits(),
+                "{what}: entry {i}: pruned {p} vs full {f}"
+            );
+        }
+    }
+
+    fn assert_schedules_match(got: &saga_core::Schedule, inst: &Instance, what: &str) {
+        let want = oracle_schedule(inst);
+        for (g, w) in got.assignments().iter().zip(want.assignments()) {
+            assert_eq!(
+                (g.node, g.start.to_bits()),
+                (w.node, w.start.to_bits()),
+                "{what}: task {} placed differently",
+                g.task
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_table_matches_full_scan_on_iot_networks() {
+        use rand::SeedableRng;
+        use saga_datasets::iot;
+        let gens: [fn(&mut rand::rngs::StdRng) -> Instance; 4] = [
+            iot::sample_etl,
+            iot::sample_predict,
+            iot::sample_stats,
+            iot::sample_train,
+        ];
+        for (k, gen) in gens.iter().enumerate() {
+            for seed in 0..3u64 {
+                let inst = gen(&mut rand::rngs::StdRng::seed_from_u64(seed));
+                let what = format!("iot generator {k}, seed {seed}");
+                assert_tables_match(&inst, &what);
+                assert_schedules_match(&Bil.schedule(&inst), &inst, &what);
+            }
+        }
+    }
+
+    /// Weights drawn from a small set, so rows tie, messages are empty,
+    /// speeds are zero (0/0 levels) or infinite, and links are zero
+    /// (infinite messages) or infinite (free messages).
+    const COSTS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
+    const SPEEDS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, f64::INFINITY];
+    const LINKS: [f64; 4] = [0.0, 0.5, 1.0, f64::INFINITY];
+
+    /// `((tasks, nodes), task costs, dep costs, edge mask, speeds, links,
+    /// edge/fog/cloud tiers, (edited task, its new cost))`; a non-zero tier
+    /// total replaces the complete network with `build_edge_fog_cloud`.
+    type Spec = (
+        (usize, usize),
+        Vec<usize>,
+        Vec<usize>,
+        Vec<bool>,
+        Vec<usize>,
+        Vec<usize>,
+        (usize, usize, usize),
+        (usize, usize),
+    );
+
+    fn arb_spec() -> impl proptest::Strategy<Value = Spec> {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        (
+            (1usize..=8, 1usize..=6),
+            vec(0usize..4, 8),
+            vec(0usize..4, 64),
+            vec(any::<bool>(), 64),
+            vec(0usize..5, 6),
+            vec(0usize..4, 36),
+            (0usize..=3, 0usize..=2, 0usize..=2).prop_map(|(e, f, c)| {
+                if e % 2 == 0 {
+                    (e, f, c)
+                } else {
+                    (0, 0, 0)
+                }
+            }),
+            (0usize..8, 0usize..4),
+        )
+    }
+
+    fn build(spec: &Spec) -> Instance {
+        let ((nt, nv), costs, deps, mask, speeds, links, (e, f, c), _) = spec;
+        let mut g = saga_core::TaskGraph::new();
+        let ids: Vec<_> = (0..*nt)
+            .map(|i| g.add_task(format!("t{i}"), COSTS[costs[i]]))
+            .collect();
+        for i in 0..*nt {
+            for j in (i + 1)..*nt {
+                if mask[i * 8 + j] {
+                    g.add_dependency(ids[i], ids[j], COSTS[deps[i * 8 + j]])
+                        .unwrap();
+                }
+            }
+        }
+        let net = if e + f + c > 0 {
+            saga_datasets::iot::build_edge_fog_cloud(*e, *f, *c)
+        } else {
+            let speeds: Vec<f64> = speeds[..*nv].iter().map(|&k| SPEEDS[k]).collect();
+            let mut net = saga_core::Network::complete(&speeds, 1.0);
+            for u in 0..*nv {
+                for v in (u + 1)..*nv {
+                    net.set_link(NodeId(u as u32), NodeId(v as u32), LINKS[links[u * 6 + v]]);
+                }
+            }
+            net
+        };
+        Instance::new(net, g)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pruned_bil_matches_full_scan(spec in arb_spec()) {
+            let inst = build(&spec);
+            assert_tables_match(&inst, "table");
+            assert_schedules_match(&Bil.schedule(&inst), &inst, "run");
+
+            // seed a trace, edit one task weight, re-run incrementally
+            let full = DirtyRegion::full();
+            let (mut ctx, mut trace) = (SchedContext::new(), RunTrace::new());
+            ctx.pin_tables_dirty(&inst, &full);
+            Bil.schedule_incremental_into(&inst, &mut ctx, &mut trace, &full);
+            ctx.unpin_tables();
+            let mut edited = inst.clone();
+            let (edit, weight) = spec.7;
+            let t = TaskId((edit % inst.graph.task_count()) as u32);
+            edited.graph.set_cost(t, COSTS[weight]).unwrap();
+            let dirty = DirtyRegion::task_weight(t);
+            ctx.pin_tables_dirty(&edited, &dirty);
+            let got = Bil.schedule_incremental_into(&edited, &mut ctx, &mut trace, &dirty);
+            ctx.unpin_tables();
+            assert_schedules_match(&got, &edited, "run_recorded after a weight edit");
+        }
     }
 }

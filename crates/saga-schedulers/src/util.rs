@@ -26,7 +26,7 @@ pub(crate) fn fused_rows_profitable(nv: usize) -> bool {
 }
 
 /// Cached data-ready state for *append-only* frontier sweeps (MinMin/MaxMin,
-/// ETF, ERT, GDL, WBA, FLB): a ready task's data-ready times never change
+/// ETF, ERT, GDL, WBA, FLB, BIL): a ready task's data-ready times never change
 /// (its predecessors are all placed), so each task's row is computed exactly
 /// once — and every `(start, finish)` the sweep compares is recomposed as
 /// `tail.max(ready) + duration` from that row, the kernel's maintained

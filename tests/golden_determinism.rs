@@ -13,6 +13,11 @@
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test golden_determinism -- --ignored
 //! ```
+//!
+//! `tests/golden_makespans_large.csv` pins 150–250-task instances and
+//! `tests/golden_makespans_wide.csv` pins networks wider than the fused-row
+//! band: one seeded instance per IoT generator (~80–140-node edge/fog/cloud
+//! networks) and seeded random instances at 16 and 64 nodes.
 
 use saga::core::Instance;
 use saga::schedulers::util::fixtures;
@@ -84,13 +89,47 @@ fn large_battery() -> Vec<(String, Instance)> {
         .collect()
 }
 
-/// One `scheduler,instance,bits` line per (roster scheduler, large
-/// instance), in a fixed order.
-fn current_large_lines() -> Vec<String> {
-    let battery = large_battery();
+/// Wide networks: the paths only a >32-node network reaches (every
+/// scheduler's scalar fallback above the fused-row band, BIL's pruned level
+/// scan on the ~110-node IoT networks) plus a 16-node in-band control.
+fn wide_battery() -> Vec<(String, Instance)> {
+    use rand::SeedableRng;
+    use saga::datasets::iot;
+    type Generator = fn(&mut rand::rngs::StdRng) -> Instance;
+    let iot_gens: [(&str, Generator); 4] = [
+        ("etl", iot::sample_etl),
+        ("predict", iot::sample_predict),
+        ("stats", iot::sample_stats),
+        ("train", iot::sample_train),
+    ];
+    let mut v = Vec::new();
+    for (k, (name, gen)) in iot_gens.iter().enumerate() {
+        let seed = 9000 + k as u64;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        v.push((format!("{name}_s{seed}"), gen(&mut rng)));
+    }
+    let shapes = [
+        (30usize, 16usize, 0.15f64),
+        (60, 16, 0.08),
+        (30, 64, 0.15),
+        (60, 64, 0.08),
+    ];
+    for (k, &(t, n, p)) in shapes.iter().enumerate() {
+        let seed = 9100 + k as u64;
+        v.push((
+            format!("wide_s{seed}_t{t}_n{n}"),
+            fixtures::random_instance(seed, t, n, p),
+        ));
+    }
+    v
+}
+
+/// One `scheduler,instance,bits` line per (roster scheduler, instance of
+/// `battery`), in a fixed order.
+fn roster_lines(battery: &[(String, Instance)]) -> Vec<String> {
     let mut lines = Vec::new();
     for s in roster() {
-        for (label, inst) in &battery {
+        for (label, inst) in battery {
             let m = s.schedule(inst).makespan();
             lines.push(format!("{},{},{:016x}", s.name(), label, m.to_bits()));
         }
@@ -98,8 +137,18 @@ fn current_large_lines() -> Vec<String> {
     lines
 }
 
-fn golden_large_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_makespans_large.csv")
+fn current_large_lines() -> Vec<String> {
+    roster_lines(&large_battery())
+}
+
+fn current_wide_lines() -> Vec<String> {
+    roster_lines(&wide_battery())
+}
+
+fn golden_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join(name)
 }
 
 /// One `scheduler,instance,bits` line per measurement, in a fixed order.
@@ -124,97 +173,75 @@ fn current_lines() -> Vec<String> {
     lines
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_makespans.csv")
+/// Asserts `current` equals the fixture `name` line for line.
+fn assert_matches_golden(name: &str, current: &[String]) {
+    let golden = std::fs::read_to_string(golden_path(name)).unwrap_or_else(|_| {
+        panic!("tests/{name} missing — run the regen command in this file's docs")
+    });
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        golden.len(),
+        current.len(),
+        "{name} has {} entries, battery produces {}",
+        golden.len(),
+        current.len()
+    );
+    let mut mismatches = Vec::new();
+    for (g, c) in golden.iter().zip(current) {
+        if g != c {
+            mismatches.push(format!("golden: {g}\n   now: {c}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} makespans in {name} changed bit pattern:\n{}",
+        mismatches.len(),
+        current.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// Overwrites the fixture `name` with `lines`, after the `GOLDEN_REGEN=1`
+/// confirmation.
+fn write_golden(name: &str, lines: &[String]) {
+    assert_eq!(
+        std::env::var("GOLDEN_REGEN").as_deref(),
+        Ok("1"),
+        "set GOLDEN_REGEN=1 to confirm overwriting tests/{name}"
+    );
+    std::fs::write(golden_path(name), lines.join("\n") + "\n").expect("write golden fixture");
+    println!("wrote {} entries to tests/{name}", lines.len());
 }
 
 #[test]
 fn makespans_match_golden_bits() {
-    let golden = std::fs::read_to_string(golden_path())
-        .expect("tests/golden_makespans.csv missing — run the regen command in this file's docs");
-    let golden: Vec<&str> = golden.lines().collect();
-    let current = current_lines();
-    assert_eq!(
-        golden.len(),
-        current.len(),
-        "golden file has {} entries, battery produces {}",
-        golden.len(),
-        current.len()
-    );
-    let mut mismatches = Vec::new();
-    for (g, c) in golden.iter().zip(&current) {
-        if g != c {
-            mismatches.push(format!("golden: {g}\n   now: {c}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} makespans changed bit pattern:\n{}",
-        mismatches.len(),
-        current.len(),
-        mismatches.join("\n")
-    );
+    assert_matches_golden("golden_makespans.csv", &current_lines());
 }
 
 #[test]
 fn large_makespans_match_golden_bits() {
-    let golden = std::fs::read_to_string(golden_large_path()).expect(
-        "tests/golden_makespans_large.csv missing — run the regen command in this file's docs",
-    );
-    let golden: Vec<&str> = golden.lines().collect();
-    let current = current_large_lines();
-    assert_eq!(
-        golden.len(),
-        current.len(),
-        "large golden file has {} entries, battery produces {}",
-        golden.len(),
-        current.len()
-    );
-    let mut mismatches = Vec::new();
-    for (g, c) in golden.iter().zip(&current) {
-        if g != c {
-            mismatches.push(format!("golden: {g}\n   now: {c}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} large-instance makespans changed bit pattern:\n{}",
-        mismatches.len(),
-        current.len(),
-        mismatches.join("\n")
-    );
+    assert_matches_golden("golden_makespans_large.csv", &current_large_lines());
+}
+
+#[test]
+fn wide_makespans_match_golden_bits() {
+    assert_matches_golden("golden_makespans_wide.csv", &current_wide_lines());
+}
+
+#[test]
+#[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
+fn regenerate_golden_wide() {
+    write_golden("golden_makespans_wide.csv", &current_wide_lines());
 }
 
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden_large() {
-    assert_eq!(
-        std::env::var("GOLDEN_REGEN").as_deref(),
-        Ok("1"),
-        "set GOLDEN_REGEN=1 to confirm overwriting the large golden fixture"
-    );
-    let lines = current_large_lines();
-    std::fs::write(golden_large_path(), lines.join("\n") + "\n").expect("write golden fixture");
-    println!(
-        "wrote {} entries to {}",
-        lines.len(),
-        golden_large_path().display()
-    );
+    write_golden("golden_makespans_large.csv", &current_large_lines());
 }
 
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden() {
-    assert_eq!(
-        std::env::var("GOLDEN_REGEN").as_deref(),
-        Ok("1"),
-        "set GOLDEN_REGEN=1 to confirm overwriting the golden fixture"
-    );
-    let lines = current_lines();
-    std::fs::write(golden_path(), lines.join("\n") + "\n").expect("write golden fixture");
-    println!(
-        "wrote {} entries to {}",
-        lines.len(),
-        golden_path().display()
-    );
+    write_golden("golden_makespans.csv", &current_lines());
 }
