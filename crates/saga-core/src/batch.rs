@@ -22,23 +22,10 @@
 //! kernels ([`SchedContext::eft_row_into`]), which every lane evaluation
 //! reaches through the schedulers' own selection loops.
 //!
-//! Setting the environment variable `SAGA_NO_BATCH` (to anything but `0`)
-//! makes [`batch_enabled`] report false; the batch planners then route every
-//! cell down the scalar path — CI runs the golden suites once with the
-//! toggle set and diffs, so both paths stay bit-identical.
+//! Lockstep and scalar cells are bit-identical; `tests/batched_eval.rs`
+//! runs every lockstep group against the scalar path directly.
 
 use crate::kernel::SchedContext;
-
-/// Whether lockstep batch execution is enabled (the default). Set
-/// `SAGA_NO_BATCH` (to anything but `0`) to force every cell down the
-/// scalar path; read once per process.
-pub fn batch_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| match std::env::var_os("SAGA_NO_BATCH") {
-        None => true,
-        Some(v) => v == "0",
-    })
-}
 
 /// The hot block of a K-lane lockstep driver: one scheduling context per
 /// lane plus the driver's per-lane scalar state as lane-contiguous

@@ -20,12 +20,8 @@
 //! scheduler-specific decision check fails), then falls back to its normal
 //! decision loop from that position. Replay is only performed when it is
 //! provably bit-identical to the full run; the golden-determinism and
-//! golden-PISA suites pin this.
-//!
-//! Setting the environment variable `SAGA_NO_INCREMENTAL` (to anything but
-//! `0`) forces every evaluation down the full-rebuild path — CI runs the
-//! golden suites once with the toggle set and diffs, so both paths stay
-//! value-identical.
+//! golden-PISA suites pin this, and `tests/incremental_eval.rs` compares
+//! every replay against a full rebuild of the same instance.
 
 use crate::{NodeId, SchedContext, TaskId};
 
@@ -476,17 +472,6 @@ impl RunTrace {
     pub fn put_sub(&mut self, sub: Box<RunTrace>) {
         self.sub = Some(sub);
     }
-}
-
-/// Whether incremental delta-evaluation is enabled (the default). Set
-/// `SAGA_NO_INCREMENTAL` (to anything but `0`) to force every evaluation
-/// down the full-rebuild path; read once per process.
-pub fn incremental_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| match std::env::var_os("SAGA_NO_INCREMENTAL") {
-        None => true,
-        Some(v) => v == "0",
-    })
 }
 
 #[cfg(test)]

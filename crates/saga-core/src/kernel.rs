@@ -108,19 +108,6 @@ fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
     fold_arrivals_elementwise(out, row, f, cost);
 }
 
-/// Whether the fused EFT row kernels are enabled (the default). Set
-/// `SAGA_NO_EFT_ROW` (to anything but `0`) to force every scheduler down
-/// the scalar per-node query path, mirroring `SAGA_NO_INCREMENTAL` /
-/// `SAGA_NO_BATCH`; read once per process. Both paths are bit-identical —
-/// the golden suites run once with the toggle set and diff.
-pub fn eft_rows_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| match std::env::var_os("SAGA_NO_EFT_ROW") {
-        None => true,
-        Some(v) => v == "0",
-    })
-}
-
 /// The append-start/finish compose over one task's rows:
 /// `starts[v] = tails[v].max(starts[v])` (the data-ready row folded with
 /// the per-node append tail) and `finishes[v] = starts[v] + exec[v]`. The

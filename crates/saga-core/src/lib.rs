@@ -30,16 +30,15 @@ mod schedule;
 mod seed;
 pub mod stochastic;
 
-pub use batch::{batch_enabled, BatchedSchedContext};
+pub use batch::BatchedSchedContext;
 pub use builder::ScheduleBuilder;
 pub use error::{GraphError, ScheduleError};
 pub use graph::{DepEdge, TaskGraph};
 pub use ids::{NodeId, TaskId};
-pub use incremental::{incremental_enabled, DirtyRegion, RunTrace};
+pub use incremental::{DirtyRegion, RunTrace};
 pub use instance::Instance;
 pub use kernel::{
-    argmin_finish, argmin_start_finish, compose_append_rows, compose_append_rows_from,
-    eft_rows_enabled, SchedContext,
+    argmin_finish, argmin_start_finish, compose_append_rows, compose_append_rows_from, SchedContext,
 };
 pub use network::Network;
 pub use pool::{ContextPool, PooledContext};

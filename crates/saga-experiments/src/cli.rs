@@ -1,19 +1,88 @@
 //! Minimal argument parsing shared by the experiment binaries (no external
 //! CLI crate needed for `--flag value` pairs).
+//!
+//! A flag that is given must carry a usable value: a trailing `--imax` or an
+//! unparseable `--imax 1e3` exits with status 2 and names the flag, instead
+//! of silently running the default budget.
 
-/// Returns the value following `--name`, parsed, or `default`.
-pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    let flag = format!("--{name}");
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(default)
+use std::fmt;
+
+/// A `--flag value` pair that cannot be used. `flag` is the flag as
+/// written (`--imax`); `expected` is the type the value must parse as.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ArgError {
+    /// The flag is the last argument, with no value after it.
+    MissingValue { flag: String },
+    /// The value does not parse as the flag's type.
+    BadValue {
+        flag: String,
+        value: String,
+        expected: &'static str,
+    },
 }
 
-/// Returns the raw string following `--name`, if present.
-pub fn arg_str(args: &[String], name: &str) -> Option<String> {
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgError::MissingValue { flag } => write!(f, "{flag} needs a value"),
+            ArgError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} {value:?} is not a valid {expected}"),
+        }
+    }
+}
+
+/// The raw value following `--name`: `Ok(None)` when the flag is absent,
+/// an error when it is the last argument.
+fn try_arg_str<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, ArgError> {
     let flag = format!("--{name}");
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
+    match args.iter().position(|a| *a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(value) => Ok(Some(value)),
+            None => Err(ArgError::MissingValue { flag }),
+        },
+    }
+}
+
+/// The value following `--name`, parsed, or `default` when the flag is
+/// absent; an error when the flag has no value or the value does not parse.
+fn try_arg_or<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, ArgError> {
+    match try_arg_str(args, name)? {
+        None => Ok(default),
+        Some(value) => value.parse().map_err(|_| ArgError::BadValue {
+            flag: format!("--{name}"),
+            value: value.to_string(),
+            expected: std::any::type_name::<T>(),
+        }),
+    }
+}
+
+/// Exits with status 2 and a message naming the flag on a bad argument.
+fn or_exit<T>(r: Result<T, ArgError>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("fatal: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Returns the value following `--name`, parsed, or `default` when the flag
+/// is absent. A trailing `--name` or an unparseable value exits with
+/// status 2.
+pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    or_exit(try_arg_or(args, name, default))
+}
+
+/// Returns the raw string following `--name`, if present. A trailing
+/// `--name` exits with status 2.
+pub fn arg_str(args: &[String], name: &str) -> Option<String> {
+    or_exit(try_arg_str(args, name)).map(str::to_string)
 }
 
 /// Parses `--shard i/N` into a [`ShardSpec`](saga_pisa::ShardSpec)
@@ -85,9 +154,52 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_value_falls_back() {
-        let args = v(&["prog", "--instances", "many"]);
-        assert_eq!(arg_or(&args, "instances", 5usize), 5);
+    fn unparseable_value_is_a_named_error() {
+        for (flag, value) in [("imax", "1e3"), ("restarts", "-1"), ("instances", "many")] {
+            let args = v(&["prog", &format!("--{flag}"), value]);
+            let err = try_arg_or(&args, flag, 5usize).unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::BadValue {
+                    flag: format!("--{flag}"),
+                    value: value.to_string(),
+                    expected: "usize",
+                }
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("--{flag}")) && msg.contains(value),
+                "{msg}"
+            );
+        }
+        // a flag swallowed as another flag's value is caught the same way
+        let args = v(&["prog", "--imax", "--restarts", "2"]);
+        assert!(matches!(
+            try_arg_or(&args, "imax", 0usize),
+            Err(ArgError::BadValue { .. })
+        ));
+        assert_eq!(try_arg_or(&args, "restarts", 0usize), Ok(2));
+    }
+
+    #[test]
+    fn trailing_flag_without_value_is_a_named_error() {
+        let args = v(&["prog", "--instances", "4", "--imax"]);
+        let err = try_arg_or(&args, "imax", 1000usize).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::MissingValue {
+                flag: "--imax".to_string()
+            }
+        );
+        assert!(err.to_string().contains("--imax"));
+        assert_eq!(try_arg_or(&args, "instances", 0usize), Ok(4));
+        assert_eq!(
+            try_arg_str(&v(&["prog", "--shard"]), "shard"),
+            Err(ArgError::MissingValue {
+                flag: "--shard".to_string()
+            })
+        );
+        assert_eq!(try_arg_str(&v(&["prog"]), "shard"), Ok(None));
     }
 
     #[test]

@@ -106,8 +106,7 @@ impl Progress {
     }
 
     /// Total work steals observed across the runs folded into this
-    /// reporter (0 under the sequential short-circuit or the legacy cursor
-    /// queue).
+    /// reporter (0 under the sequential short-circuit).
     pub fn steals(&self) -> usize {
         self.steals.load(Ordering::Relaxed)
     }
@@ -227,7 +226,7 @@ impl BatchEngine {
         };
         // Eligible pairwise cells run in lockstep lane groups; everything
         // else — other cell kinds, oversized restart counts, cells the
-        // checkpoint will replay, `SAGA_NO_BATCH` — takes the scalar path.
+        // checkpoint will replay — takes the scalar path.
         // The plan never changes results (both paths are bit-identical), so
         // resumed runs may group differently than the original run did.
         let units = saga_pisa::plan_units(cells, |_, cell| {

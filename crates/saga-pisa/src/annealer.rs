@@ -4,7 +4,7 @@ use crate::makespan_ratio;
 use crate::perturb::Perturber;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saga_core::{incremental_enabled, DirtyRegion, Instance, RunTrace, SchedContext};
+use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
 use saga_schedulers::Scheduler;
 
 /// Annealing-schedule constants. Defaults are exactly the paper's:
@@ -331,10 +331,6 @@ fn run_annealing(
     rng: &mut StdRng,
     scratch: &mut AnnealScratch,
 ) -> (f64, f64, usize) {
-    // `SAGA_NO_INCREMENTAL` forces every evaluation down the full-rebuild
-    // path (value-identical by construction; CI diffs the golden suites
-    // under both settings).
-    let force_full = !incremental_enabled();
     let initial_ratio = objective(start, &DirtyRegion::full());
     let mut evaluations = 1;
     fill(&mut scratch.current, start);
@@ -361,13 +357,8 @@ fn run_annealing(
         // the clone-based fallback would, so both paths are value-identical
         // (the golden PISA-cell fixture pins this).
         if let Some(undo) = perturber.perturb_undoable(current, rng) {
-            let dirty = if force_full {
-                DirtyRegion::full()
-            } else {
-                let mut d = undo.dirty_region();
-                d.merge(&pending);
-                d
-            };
+            let mut dirty = undo.dirty_region();
+            dirty.merge(&pending);
             let r = objective(current, &dirty);
             evaluations += 1;
             pending = DirtyRegion::clean();

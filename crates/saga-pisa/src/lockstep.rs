@@ -11,17 +11,14 @@
 //! [`run_annealing`](crate::annealer)-shaped run — same draws, same
 //! accept decisions, same restart fold — and the batch produces
 //! bit-identical [`PisaResult`]s to the scalar `SearchCell` path (the
-//! `batched_eval` suite and the golden fixtures pin this; CI re-runs the
-//! goldens with `SAGA_NO_BATCH=1` forcing the scalar path and diffs).
+//! `batched_eval` suite and the golden fixtures pin this).
 //!
 //! Lane evaluations drive the same incremental protocol as the scalar
 //! loop — [`Scheduler::makespan_incremental`] against the lane's own
 //! [`PairTraces`] under [`SchedContext::pin_tables_dirty`] — so the batch
-//! keeps the replay-prefix win, and `SAGA_NO_INCREMENTAL` degrades both
-//! paths identically. The fused EFT row kernels (PR 8) reach the lanes the
-//! same way: every lane evaluation runs the schedulers' own loops, which
-//! answer node selections through the row kernels (`SAGA_NO_EFT_ROW`
-//! likewise degrades batch and scalar identically).
+//! keeps the replay-prefix win. The fused EFT row kernels reach the lanes
+//! the same way: every lane evaluation runs the schedulers' own loops,
+//! which answer node selections through the row kernels.
 
 use crate::annealer::{accept, PairTraces, PisaConfig, PisaResult};
 use crate::constraints;
@@ -30,9 +27,7 @@ use crate::perturb::{initial_instance, GeneralPerturber, PerturbUndo, Perturber}
 use crate::runner::{CellKind, SearchCell};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saga_core::{
-    batch_enabled, incremental_enabled, BatchedSchedContext, DirtyRegion, Instance, SchedContext,
-};
+use saga_core::{BatchedSchedContext, DirtyRegion, Instance, SchedContext};
 use saga_schedulers::Scheduler;
 
 /// Lane budget per lockstep group: groups are planned so the sum of member
@@ -77,20 +72,18 @@ impl ExecUnit {
 /// Plans a cell grid into execution units: cells for which `eligible`
 /// holds are packed, in input order, into lockstep groups of at most
 /// [`LANE_BUDGET`] lanes (one lane per restart); everything else becomes a
-/// scalar unit. With batching disabled (`SAGA_NO_BATCH`), every cell is
-/// scalar. The plan depends only on the cells and `eligible` — never on
+/// scalar unit. The plan depends only on the cells and `eligible` — never on
 /// thread count — and results are bit-identical under any plan, so callers
 /// may vary eligibility (e.g. checkpoint-stored cells) freely.
 pub fn plan_units(
     cells: &[SearchCell],
     mut eligible: impl FnMut(usize, &SearchCell) -> bool,
 ) -> Vec<ExecUnit> {
-    let batching = batch_enabled();
     let mut units = Vec::new();
     let mut group: Vec<usize> = Vec::new();
     let mut group_lanes = 0usize;
     for (i, cell) in cells.iter().enumerate() {
-        if !(batching && lockstep_supported(cell) && eligible(i, cell)) {
+        if !(lockstep_supported(cell) && eligible(i, cell)) {
             units.push(ExecUnit::Scalar(i));
             continue;
         }
@@ -209,9 +202,6 @@ pub fn run_cells_lockstep(
     cells: &[&SearchCell],
 ) -> Vec<PisaResult> {
     let plans: Vec<CellPlan> = cells.iter().map(|c| CellPlan::new(c)).collect();
-    // `SAGA_NO_INCREMENTAL` forces full table rebuilds exactly like the
-    // scalar loop (the evaluations here are already trace-free).
-    let force_full = !incremental_enabled();
 
     // Lane setup: restart `k` of each cell seeds its own RNG with
     // `seed + k` and draws its start, exactly like `best_over_restarts`.
@@ -271,7 +261,7 @@ pub fn run_cells_lockstep(
         (inst.graph.task_count(), inst.network.node_count(), li)
     });
 
-    run_steps(batch, &plans, &mut lanes, &order, force_full);
+    run_steps(batch, &plans, &mut lanes, &order);
 
     // The scalar restart fold: strictly-better ratios win, ties keep the
     // earlier restart; lanes were pushed in (cell, restart) order.
@@ -311,7 +301,6 @@ fn run_steps(
     plans: &[CellPlan],
     lanes: &mut [Lane],
     order: &[usize],
-    force_full: bool,
 ) {
     while batch.live() > 0 {
         for &li in order {
@@ -326,13 +315,8 @@ fn run_steps(
                 .perturber
                 .perturb_undoable(&mut lane.current, &mut lane.rng)
             {
-                lane.dirty = if force_full {
-                    DirtyRegion::full()
-                } else {
-                    let mut d = undo.dirty_region();
-                    d.merge(&lane.pending);
-                    d
-                };
+                lane.dirty = undo.dirty_region();
+                lane.dirty.merge(&lane.pending);
                 lane.undo = Some(undo);
                 lane.opaque = false;
             } else {
@@ -442,21 +426,16 @@ mod tests {
             pair(5, 1),
         ];
         let units = plan_units(&cells, |_, _| true);
-        if batch_enabled() {
-            assert_eq!(
-                units,
-                vec![
-                    ExecUnit::Lockstep(vec![0, 1]),
-                    ExecUnit::Scalar(3),
-                    ExecUnit::Scalar(4),
-                    ExecUnit::Lockstep(vec![2]),
-                    ExecUnit::Lockstep(vec![5]),
-                ]
-            );
-        } else {
-            assert_eq!(units.len(), cells.len());
-            assert!(units.iter().all(|u| matches!(u, ExecUnit::Scalar(_))));
-        }
+        assert_eq!(
+            units,
+            vec![
+                ExecUnit::Lockstep(vec![0, 1]),
+                ExecUnit::Scalar(3),
+                ExecUnit::Scalar(4),
+                ExecUnit::Lockstep(vec![2]),
+                ExecUnit::Lockstep(vec![5]),
+            ]
+        );
         let mut covered: Vec<usize> = units.iter().flat_map(|u| u.indices().to_vec()).collect();
         covered.sort_unstable();
         assert_eq!(covered, (0..cells.len()).collect::<Vec<_>>());

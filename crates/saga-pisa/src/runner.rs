@@ -259,9 +259,9 @@ pub fn cell_config(base: PisaConfig, index: u64) -> PisaConfig {
 /// Runs cells across rayon workers, each worker holding one warm pooled
 /// context, one scratch, and one lane block for its whole run. Eligible
 /// pairwise cells are grouped into lockstep units by the batch planner
-/// (scalar fallback for other cell kinds, oversized restart counts, and
-/// `SAGA_NO_BATCH`); results come back in cell order, bit-identical under
-/// any plan and thread count. The experiment engine's `run_cells` adds
+/// (scalar fallback for other cell kinds and oversized restart counts);
+/// results come back in cell order, bit-identical under any plan and
+/// thread count. The experiment engine's `run_cells` adds
 /// progress and checkpointing on top of the same per-unit execution.
 pub fn run_cells_pooled(cells: &[SearchCell]) -> Vec<PisaResult> {
     let pool = ContextPool::new();

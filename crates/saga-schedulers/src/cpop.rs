@@ -6,8 +6,7 @@
 //! that executes the critical path fastest — under the related-machines
 //! model, simply the fastest node. Non-critical tasks use insertion-based
 //! earliest finish time, as in HEFT — through [`util::best_eft_node`]'s
-//! fused row-kernel formulation (`SAGA_NO_EFT_ROW=1` forces the scalar
-//! per-node sweep). Complexity `O(|T|^2 |V|)`.
+//! fused row-kernel formulation. Complexity `O(|T|^2 |V|)`.
 
 use crate::{util, KernelRun};
 use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext, TaskId};

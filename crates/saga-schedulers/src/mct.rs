@@ -7,7 +7,7 @@
 //!
 //! Append-only, so the node selection is one fused
 //! [`SchedContext::eft_row_append_into`] pass plus the lowest-index argmin
-//! when the row kernels are enabled (`SAGA_NO_EFT_ROW=1` forces the scalar
+//! inside the fused-row band (8..=32 nodes; other widths take the scalar
 //! per-node sweep).
 
 use crate::{util, KernelRun};

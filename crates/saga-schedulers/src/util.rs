@@ -12,17 +12,17 @@ pub(crate) const STACK_NODES: usize = 32;
 /// Minimum network width for the fused row formulation to pay: below this
 /// the compose stays scalar (see the AVX dispatch gate in `saga-core`) and
 /// materializing row buffers loses to the register-resident comparator
-/// loops, so narrow networks keep the scalar per-node path — the same code
-/// `SAGA_NO_EFT_ROW=1` forces everywhere. Bit-identical either way.
+/// loops, so narrow networks keep the scalar per-node path. Bit-identical
+/// either way.
 pub(crate) const WIDE_NODES: usize = 8;
 
 /// Whether the selection helpers should take the fused row path for an
-/// `nv`-node network: row kernels enabled and the width inside the
-/// `[WIDE_NODES, STACK_NODES]` band where the vectorized compose beats the
-/// scalar comparator loop and the scratch rows fit on the stack.
+/// `nv`-node network: the width is inside the `[WIDE_NODES, STACK_NODES]`
+/// band where the vectorized compose beats the scalar comparator loop and
+/// the scratch rows fit on the stack.
 #[inline]
 pub(crate) fn fused_rows_profitable(nv: usize) -> bool {
-    saga_core::eft_rows_enabled() && (WIDE_NODES..=STACK_NODES).contains(&nv)
+    (WIDE_NODES..=STACK_NODES).contains(&nv)
 }
 
 /// Cached data-ready state for *append-only* frontier sweeps (MinMin/MaxMin,
@@ -31,8 +31,8 @@ pub(crate) fn fused_rows_profitable(nv: usize) -> bool {
 /// once — and every `(start, finish)` the sweep compares is recomposed as
 /// `tail.max(ready) + duration` from that row, the kernel's maintained
 /// append-tail row ([`SchedContext::append_tails`]) and the cached execution
-/// row, division-free and bit-identical to the direct queries. With the row
-/// kernels enabled the recompose is one branchless fused sweep
+/// row, division-free and bit-identical to the direct queries. Inside the
+/// fused-row band the recompose is one branchless fused sweep
 /// ([`Self::fused_rows`]); the comparator form ([`Self::best_node`]) is the
 /// scalar fallback.
 pub(crate) struct FrontierSweep {
@@ -140,10 +140,10 @@ impl FrontierSweep {
     /// [`Self::best_node`] under the earliest-finish comparator
     /// (`f < bf`, lowest node id on ties) as one fused row compose plus the
     /// lowest-index argmin — bit-identical to the comparator form, which
-    /// wide networks and the `SAGA_NO_EFT_ROW` path still take.
+    /// networks outside the fused-row band still take.
     pub fn best_node_eft(&self, ctx: &SchedContext, t: TaskId) -> (NodeId, f64, f64) {
         let nv = ctx.node_count();
-        if !(WIDE_NODES..=STACK_NODES).contains(&nv) {
+        if !fused_rows_profitable(nv) {
             return self.best_node(ctx, t, |(_, f), (_, bf)| f < bf);
         }
         let mut starts = [0.0f64; STACK_NODES];
@@ -158,7 +158,7 @@ impl FrontierSweep {
     /// lexicographic argmin — bit-identical to the comparator form.
     pub fn best_node_est(&self, ctx: &SchedContext, t: TaskId) -> (NodeId, f64, f64) {
         let nv = ctx.node_count();
-        if !(WIDE_NODES..=STACK_NODES).contains(&nv) {
+        if !fused_rows_profitable(nv) {
             return self.best_node(ctx, t, |(s, f), (bs, bf)| s < bs || (s == bs && f < bf));
         }
         let mut starts = [0.0f64; STACK_NODES];
@@ -177,14 +177,14 @@ impl FrontierSweep {
 /// The node minimizing the earliest finish time of `t`, with the
 /// corresponding `(start, finish)`. Ties go to the lower node id.
 ///
-/// With the row kernels enabled, append-policy queries are one fused
+/// Inside the fused-row band, append-policy queries are one fused
 /// [`SchedContext::eft_row_append_into`] pass plus the lowest-index argmin,
 /// and insertion-policy queries run the pruned gap-scan loop over the
 /// batched data-ready row; both reproduce the full per-node sweep bit for
 /// bit (a node only wins on a strictly smaller finish, and the true finish
 /// never beats the `data_ready + duration` skip bound). Networks outside
-/// the `[WIDE_NODES, STACK_NODES]` profitability band and the
-/// `SAGA_NO_EFT_ROW` path take the scalar per-node formulation.
+/// the `[WIDE_NODES, STACK_NODES]` profitability band take the scalar
+/// per-node formulation.
 pub fn best_eft_node(ctx: &SchedContext, t: TaskId, insertion: bool) -> (NodeId, f64, f64) {
     let nv = ctx.node_count();
     if fused_rows_profitable(nv) {
@@ -266,8 +266,8 @@ fn best_eft_node_scalar(ctx: &SchedContext, t: TaskId, insertion: bool) -> (Node
 /// bound starts strictly after the incumbent (a strictly later start can
 /// never win, and an equal one only refines the finish tie-break, which the
 /// bound does not exclude) — the outcome is bit-identical to the full sweep.
-/// Append-policy queries take the fused row pass plus the lexicographic
-/// argmin when the row kernels are enabled.
+/// Append-policy queries inside the fused-row band take the fused row pass
+/// plus the lexicographic argmin.
 pub fn best_est_node(ctx: &SchedContext, t: TaskId, insertion: bool) -> (NodeId, f64, f64) {
     let nv = ctx.node_count();
     if !insertion && fused_rows_profitable(nv) {

@@ -11,8 +11,7 @@
 //! (mixed scheduler pairs, seeds, restart counts and budgets — so lanes
 //! retire at different steps), ragged planner remainders, and the
 //! engine's checkpoint files, asserting bit-identity against per-cell
-//! scalar runs throughout. CI additionally re-runs the golden suites with
-//! `SAGA_NO_BATCH=1` (scalar everything) and diffs.
+//! scalar runs throughout.
 
 use proptest::prelude::*;
 use saga::core::{BatchedSchedContext, SchedContext};

@@ -15,8 +15,7 @@
 //! topological order, so the probed timelines carry that scheduler's real
 //! placement style (HEFT/CPoP leave insertion gaps, load balancers leave
 //! ragged tails, MET leaves pile-ups). Any divergence flips bits here long
-//! before it could reach the golden fixtures; CI additionally re-runs the
-//! golden suites under `SAGA_NO_EFT_ROW=1` to pin the scalar path.
+//! before it could reach the golden fixtures.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

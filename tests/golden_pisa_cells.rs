@@ -12,10 +12,7 @@
 //! assign them, so any divergence introduced by context borrowing, scratch
 //! reuse, in-place perturbation undo, the kernel's selective table refresh,
 //! incremental delta-evaluation (dirty-region table refresh + recorded-run
-//! prefix replay, the default path since PR 5 — force it off with
-//! `SAGA_NO_INCREMENTAL=1` to check the full-rebuild path against the same
-//! bits, as CI does), or engine sharding flips bits here and fails the
-//! suite.
+//! prefix replay), or engine sharding flips bits here and fails the suite.
 //!
 //! Regenerate (only when a behavior change is *intended* and reviewed):
 //!
