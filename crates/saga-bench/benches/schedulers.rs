@@ -1,6 +1,7 @@
 //! Schedule-generation time per algorithm, on a small chains instance and a
 //! larger montage instance — the measured counterpart of Table I's
-//! complexity column — plus BIL's level-table regimes.
+//! complexity column — plus BIL's level-table regimes and WBA's full and
+//! incremental runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -51,6 +52,62 @@ fn bench_bil(c: &mut Criterion) {
     group.finish();
 }
 
+/// WBA on a reused context, as the `app_pisa` annealer runs it: full runs on
+/// a montage workflow below and inside the 8–32-node fused-row band, and an
+/// incremental re-evaluation after one task-weight edit (the cost of a
+/// middle task toggles between two values, so every call replays the
+/// recorded prefix up to that task and samples the rest).
+fn bench_wba(c: &mut Criterion) {
+    use saga_core::{DirtyRegion, RunTrace, SchedContext, TaskId};
+    use saga_schedulers::{Scheduler, Wba};
+    // the first montage seeds whose Chameleon networks fall on each side of
+    // the band's 8-node floor
+    let montage = |wide: bool| {
+        (1..)
+            .map(|seed| saga_bench::montage_instance(12, seed))
+            .find(|inst| (inst.network.node_count() >= 8) == wide)
+            .expect("Chameleon networks span 4-10 nodes")
+    };
+    let (narrow, wide) = (montage(false), montage(true));
+    let mut ctx = SchedContext::new();
+    let mut group = c.benchmark_group("wba");
+    for inst in [&narrow, &wide] {
+        let label = format!(
+            "montage_{}_n{}",
+            inst.graph.task_count(),
+            inst.network.node_count()
+        );
+        group.bench_function(label.as_str(), |b| {
+            b.iter(|| black_box(Wba::default().makespan_into(black_box(inst), &mut ctx)))
+        });
+    }
+    let mut inst = wide.clone();
+    let t = TaskId((inst.graph.task_count() / 2) as u32);
+    let costs = [inst.graph.cost(t), inst.graph.cost(t) * 1.5];
+    let mut trace = RunTrace::new();
+    ctx.pin_tables_dirty(&inst, &DirtyRegion::full());
+    Wba::default().makespan_incremental(&inst, &mut ctx, &mut trace, &DirtyRegion::full());
+    ctx.unpin_tables();
+    let mut flip = 0;
+    let label = format!(
+        "montage_{}_n{}_task_edit",
+        inst.graph.task_count(),
+        inst.network.node_count()
+    );
+    group.bench_function(label.as_str(), |b| {
+        b.iter(|| {
+            flip ^= 1;
+            inst.graph.set_cost(t, costs[flip]).unwrap();
+            let dirty = DirtyRegion::task_weight(t);
+            ctx.pin_tables_dirty(&inst, &dirty);
+            let m = Wba::default().makespan_incremental(&inst, &mut ctx, &mut trace, &dirty);
+            ctx.unpin_tables();
+            black_box(m)
+        })
+    });
+    group.finish();
+}
+
 fn bench_exact(c: &mut Criterion) {
     // exponential references on a toy instance only
     let mut g = saga_core::TaskGraph::chain(&[0.5, 0.7, 0.9, 0.4], &[0.3, 0.2, 0.6]);
@@ -66,5 +123,5 @@ fn bench_exact(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_schedulers, bench_bil, bench_exact);
+criterion_group!(benches, bench_schedulers, bench_bil, bench_wba, bench_exact);
 criterion_main!(benches);

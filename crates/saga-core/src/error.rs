@@ -44,6 +44,33 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// Errors raised when building a [`crate::Network`] from raw parts.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)] // variant fields are self-describing
+pub enum NetworkError {
+    /// The link matrix does not hold `nodes * nodes` entries.
+    LinkMatrixSize { nodes: usize, links: usize },
+    /// The strengths of `u -> v` and `v -> u` differ.
+    AsymmetricLink { u: NodeId, v: NodeId },
+}
+
+impl fmt::Display for NetworkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetworkError::LinkMatrixSize { nodes, links } => write!(
+                f,
+                "link matrix must be n*n: {links} entries for {nodes} nodes"
+            ),
+            NetworkError::AsymmetricLink { u, v } => write!(
+                f,
+                "link matrix must be symmetric: {u} -> {v} differs from {v} -> {u}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for NetworkError {}
+
 /// Violations detected by [`crate::Schedule::verify`].
 ///
 /// These mirror the validity constraints of the paper's Section II: every task

@@ -126,20 +126,22 @@ mod dto {
         type Error = serde_json::Error;
 
         fn try_from(dto: InstanceDto) -> Result<Self, Self::Error> {
+            let invalid = |msg: String| serde_json::Error::from(serde::Error::custom(msg));
             let network =
-                Network::from_matrix(dto.speeds, dto.links.into_iter().map(dec).collect());
+                Network::try_from_matrix(dto.speeds, dto.links.into_iter().map(dec).collect())
+                    .map_err(|e| invalid(format!("network: {e}")))?;
             let mut graph = TaskGraph::with_capacity(dto.tasks.len());
-            for (name, cost) in dto.tasks {
-                graph.add_task(name, cost);
+            for (k, (name, cost)) in dto.tasks.into_iter().enumerate() {
+                graph
+                    .try_add_task(name, cost)
+                    .map_err(|e| invalid(format!("task {k}: {e}")))?;
             }
             let mut deps = dto.deps;
             deps.sort_unstable_by_key(|&(a, b, _)| (a, b));
             for (a, b, c) in deps {
-                graph.add_dependency(a.into(), b.into(), c).map_err(|e| {
-                    serde_json::Error::from(serde::Error::custom(format!(
-                        "dependency {a} -> {b}: {e}"
-                    )))
-                })?;
+                graph
+                    .add_dependency(a.into(), b.into(), c)
+                    .map_err(|e| invalid(format!("dependency {a} -> {b}: {e}")))?;
             }
             Ok(super::Instance { network, graph })
         }
@@ -190,5 +192,40 @@ mod tests {
         assert_eq!(back.graph.cost(TaskId(1)), 4.0);
         assert_eq!(back.graph.dependency_cost(TaskId(0), TaskId(1)), Some(3.0));
         assert_eq!(back.graph.name(TaskId(0)), "a");
+    }
+
+    /// A two-node, two-task instance in `to_json`'s layout with the given
+    /// link matrix and task costs.
+    fn json_with(links: &str, costs: [&str; 2]) -> String {
+        format!(
+            r#"{{"speeds": [1, 2], "links": [{links}],
+                "tasks": [["a", {}], ["b", {}]], "deps": [[0, 1, 3]]}}"#,
+            costs[0], costs[1]
+        )
+    }
+
+    #[test]
+    fn from_json_rejects_invalid_instances_with_named_errors() {
+        let err = |json: String| Instance::from_json(&json).err().map(|e| e.to_string());
+        assert!(Instance::from_json(&json_with("null, 1.5, 1.5, null", ["2", "4"])).is_ok());
+        // a links array that is not speeds.len()^2 long
+        let short = err(json_with("null, 1.5, 1.5", ["2", "4"]));
+        assert!(
+            short.as_deref().is_some_and(|e| e.contains("n*n")),
+            "{short:?}"
+        );
+        // an asymmetric link matrix
+        let asym = err(json_with("null, 1.5, 2.5, null", ["2", "4"]));
+        assert!(
+            asym.as_deref().is_some_and(|e| e.contains("symmetric")),
+            "{asym:?}"
+        );
+        // a negative task cost
+        let neg = err(json_with("null, 1.5, 1.5, null", ["2", "-4"]));
+        assert!(
+            neg.as_deref()
+                .is_some_and(|e| e.contains("task 1") && e.contains("-4")),
+            "{neg:?}"
+        );
     }
 }

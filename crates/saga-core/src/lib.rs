@@ -32,7 +32,7 @@ pub mod stochastic;
 
 pub use batch::BatchedSchedContext;
 pub use builder::ScheduleBuilder;
-pub use error::{GraphError, ScheduleError};
+pub use error::{GraphError, NetworkError, ScheduleError};
 pub use graph::{DepEdge, TaskGraph};
 pub use ids::{NodeId, TaskId};
 pub use incremental::{DirtyRegion, RunTrace};

@@ -9,7 +9,7 @@
 //! free), and generators may also use infinite strengths to model shared
 //! filesystems (the paper's Chameleon-derived networks).
 
-use crate::NodeId;
+use crate::{NetworkError, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// A complete weighted network of compute nodes.
@@ -43,20 +43,37 @@ impl Network {
     /// to infinity.
     ///
     /// # Panics
-    /// Panics if the matrix has the wrong size or is not symmetric.
-    pub fn from_matrix(speeds: Vec<f64>, mut links: Vec<f64>) -> Self {
+    /// Panics if the matrix has the wrong size or is not symmetric; see
+    /// [`Self::try_from_matrix`] for the fallible form.
+    pub fn from_matrix(speeds: Vec<f64>, links: Vec<f64>) -> Self {
+        match Self::try_from_matrix(speeds, links) {
+            Ok(net) => net,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`Self::from_matrix`], returning a [`NetworkError`] instead of
+    /// panicking on a wrong-sized or asymmetric matrix.
+    pub fn try_from_matrix(speeds: Vec<f64>, mut links: Vec<f64>) -> Result<Self, NetworkError> {
         let n = speeds.len();
-        assert_eq!(links.len(), n * n, "link matrix must be n*n");
+        if links.len() != n * n {
+            return Err(NetworkError::LinkMatrixSize {
+                nodes: n,
+                links: links.len(),
+            });
+        }
         for i in 0..n {
             links[i * n + i] = f64::INFINITY;
             for j in 0..i {
-                assert!(
-                    links[i * n + j] == links[j * n + i],
-                    "link matrix must be symmetric"
-                );
+                if links[i * n + j] != links[j * n + i] {
+                    return Err(NetworkError::AsymmetricLink {
+                        u: NodeId(i as u32),
+                        v: NodeId(j as u32),
+                    });
+                }
             }
         }
-        Network { speeds, links }
+        Ok(Network { speeds, links })
     }
 
     /// Number of nodes `|V|`.

@@ -988,6 +988,33 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_skips_lines_whose_witness_is_invalid() {
+        // a well-formed record whose witness instance fails validation (a
+        // links array one entry longer than speeds.len()^2) is a skipped
+        // line on resume, not a panic
+        let cells = quick_cells();
+        let engine = BatchEngine::new();
+        let path = std::env::temp_dir().join(format!(
+            "saga_ckpt_test_{}_invalid.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let ck = CellCheckpoint::open(&path, false).unwrap();
+        engine.run_cells(&cells[..2], None, Some(&ck)).unwrap();
+        drop(ck);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[1].contains("\"links\":["), "{}", lines[1]);
+        lines[1] = lines[1].replacen("\"links\":[", "\"links\":[1,", 1);
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let ck = CellCheckpoint::open(&path, true).unwrap();
+        assert_eq!(ck.loaded(), 1);
+        assert_eq!(ck.skipped(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn progress_counts_monotonically() {
         let p = Progress::new("test", 10);
         for _ in 0..10 {

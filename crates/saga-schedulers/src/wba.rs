@@ -11,16 +11,26 @@
 //! The RNG is seeded (default 0xB1) so experiments are reproducible; PISA
 //! perturbs instances, not scheduler seeds.
 //!
-//! Placement is append-only, so every candidate `(start, finish)` comes from
-//! [`util::FrontierSweep`]'s cached data-ready rows, and the current
+//! Placement is append-only, so every candidate finish comes from
+//! [`util::FrontierSweep`]'s cached data-ready rows, composed in one scalar
+//! pass per ready task over slices hoisted once per task. The current
 //! makespan is a running max over placed finish times (same fold, same
-//! value) instead of an O(|T|) rescan per step — bit-identical decisions
-//! and RNG stream, minus the O(ready × nodes × preds) rescans.
+//! value as [`SchedContext::current_makespan`]) instead of an O(|T|)
+//! rescan per step, and the chosen option's start is recomposed from the
+//! sweep rather than buffered.
+//!
+//! Incremental re-evaluation replays the recorded placement prefix until a
+//! dirty task reaches the frontier, like MinMin. Every step draws exactly
+//! one `next_u64` (both `gen_range(0..n)` over `usize` and `gen::<f64>()`),
+//! so the RNG resumes by skipping one word per replayed placement. Structural
+//! regions never replay: the weighted draw reads the *whole* frontier (its
+//! total weight and the option index), so a dirty task that an added edge
+//! keeps out of the frontier changes the draw without ever being in it.
 
 use crate::{util, KernelRun};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use saga_core::{Instance, SchedContext};
+use rand::{Rng, RngCore, SeedableRng};
+use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext};
 
 /// The WBA scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -35,53 +45,37 @@ impl Default for Wba {
     }
 }
 
-impl KernelRun for Wba {
-    fn kernel_name(&self) -> &'static str {
-        "WBA"
-    }
-
-    fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
-        ctx.reset(inst);
+impl Wba {
+    /// The sampling loop from whatever partial state `ctx` is in: the RNG
+    /// skips the one word each already-placed step drew, and the running
+    /// makespan resumes from the placed prefix.
+    fn sample_loop(&self, ctx: &mut SchedContext) {
         let mut rng = StdRng::seed_from_u64(self.seed);
+        for _ in 0..ctx.placed_count() {
+            rng.next_u64();
+        }
         let n = ctx.task_count();
         let nv = ctx.node_count();
-        let fused = util::fused_rows_profitable(nv);
-        let mut srow = [0.0f64; util::STACK_NODES];
-        let mut frow = [0.0f64; util::STACK_NODES];
         let mut sweep = util::FrontierSweep::new(ctx);
-        // running max over placed finishes == ctx.current_makespan()
-        let mut current = 0.0f64;
-        // Per-step options, in pooled parallel buffers. Option `i` is
-        // (ready task `i / nv`, node `i % nv`) — the ready set is stable
-        // while a step's options are built and consumed, so the identity is
-        // recovered from the index instead of storing tuples (which would
-        // need their own, unpooled allocation).
-        let mut starts = ctx.take_f64();
+        let mut current = ctx.current_makespan();
+        // Option `i` is (ready task `i / nv`, node `i % nv`): the ready set
+        // is stable while a step's options are built and consumed, so the
+        // identity is recovered from the index.
         let mut increases = ctx.take_f64();
         while ctx.placed_count() < n {
-            starts.clear();
-            increases.clear();
+            let ready = ctx.ready();
+            increases.resize(ready.len() * nv, 0.0);
+            let tails = ctx.append_tails();
             let mut i_min = f64::INFINITY;
             let mut i_max = f64::NEG_INFINITY;
-            for &t in ctx.ready() {
-                if fused {
-                    // one branchless compose per task; the option loop reads
-                    // the finished rows (same bits, same option order, so
-                    // the sampling RNG stream is unchanged)
-                    sweep.fused_rows(ctx, t, &mut srow[..nv], &mut frow[..nv]);
-                }
+            for (&t, out) in ready.iter().zip(increases.chunks_exact_mut(nv)) {
+                let drt = sweep.row(nv, t);
+                let exec = ctx.exec_row(t);
                 for v in 0..nv {
-                    let (s, f) = if fused {
-                        (srow[v], frow[v])
-                    } else {
-                        let s = ctx.append_tails()[v].max(sweep.row(nv, t)[v]);
-                        (s, s + ctx.exec_row(t)[v])
-                    };
-                    let increase = (f - current).max(0.0);
+                    let increase = (tails[v].max(drt[v]) + exec[v] - current).max(0.0);
                     i_min = i_min.min(increase);
                     i_max = i_max.max(increase);
-                    starts.push(s);
-                    increases.push(increase);
+                    out[v] = increase;
                 }
             }
             let chosen = if !i_min.is_finite() || !i_max.is_finite() || i_max == i_min {
@@ -90,18 +84,17 @@ impl KernelRun for Wba {
                 rng.gen_range(0..increases.len())
             } else {
                 // weight by (I_max - I): zero for the worst, largest for the
-                // best; sample proportionally
-                let total: f64 = increases
-                    .iter()
-                    .map(|&i| if i.is_finite() { i_max - i } else { 0.0 })
-                    .sum();
+                // best; sample proportionally. Both extremes are finite, so
+                // every increase is (and none is NaN: `.max(0.0)` maps
+                // `inf - inf` to 0)
+                let total: f64 = increases.iter().map(|&i| i_max - i).sum();
                 if total <= 0.0 {
                     rng.gen_range(0..increases.len())
                 } else {
                     let mut x = rng.gen::<f64>() * total;
                     let mut pick = increases.len() - 1;
                     for (idx, &i) in increases.iter().enumerate() {
-                        let w = if i.is_finite() { i_max - i } else { 0.0 };
+                        let w = i_max - i;
                         if x < w {
                             pick = idx;
                             break;
@@ -111,14 +104,42 @@ impl KernelRun for Wba {
                     pick
                 }
             };
-            let t = ctx.ready()[chosen / nv];
-            ctx.place(t, saga_core::NodeId((chosen % nv) as u32), starts[chosen]);
+            let t = ready[chosen / nv];
+            let v = chosen % nv;
+            let start = sweep.start(ctx, t, v);
+            ctx.place(t, NodeId(v as u32), start);
             sweep.note_placed(ctx, t);
             current = current.max(ctx.finish_time(t));
         }
-        ctx.give_f64(starts);
         ctx.give_f64(increases);
         sweep.release(ctx);
+    }
+}
+
+impl KernelRun for Wba {
+    fn kernel_name(&self) -> &'static str {
+        "WBA"
+    }
+
+    fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
+        ctx.reset(inst);
+        self.sample_loop(ctx);
+    }
+
+    fn run_recorded(
+        &self,
+        inst: &Instance,
+        ctx: &mut SchedContext,
+        trace: &mut RunTrace,
+        dirty: &DirtyRegion,
+    ) {
+        ctx.reset(inst);
+        ctx.begin_recording();
+        if !dirty.is_structural() {
+            util::replay_frontier_prefix(ctx, trace, dirty, true, |_, _| false);
+        }
+        self.sample_loop(ctx);
+        ctx.take_recording(trace);
     }
 }
 

@@ -117,6 +117,20 @@ fn battery_cells() -> Vec<SearchCell> {
             ablation_config(seed(&mut idx)),
         ));
     }
+    // WBA cells, appended after the original 23 so their seeds stay put:
+    // one general pair (structural perturbations take WBA's full-run
+    // fallback) and two Section VII cells with WBA as target and as
+    // baseline (weight-only perturbations take its prefix replay)
+    cells.push(SearchCell::pair("WBA", "HEFT", pair_config(seed(&mut idx))));
+    for (workflow, tname, bname) in [("montage", "WBA", "HEFT"), ("epigenomics", "CPoP", "WBA")] {
+        cells.push(SearchCell::app(
+            workflow,
+            1.0,
+            tname,
+            bname,
+            short_config(seed(&mut idx)),
+        ));
+    }
     cells
 }
 

@@ -10,11 +10,14 @@
 //! perturbation operators and every benchmark scheduler, asserting each
 //! incremental makespan bit-identical to a from-scratch evaluation in a
 //! fresh context. Any unsound replay-prefix rule flips bits here long
-//! before it could reach the golden fixtures.
+//! before it could reach the golden fixtures. The roundtrip test also
+//! drives the Section VII perturber on workflow instances, whose wide
+//! ready frontiers and 8–10-node networks the 3–5-task chains never reach.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga::core::{DirtyRegion, Instance, RunTrace, SchedContext};
+use saga::pisa::app_specific::AppSpecific;
 use saga::pisa::perturb::{initial_instance, GeneralPerturber, Perturber};
 use saga::schedulers::Scheduler;
 
@@ -47,10 +50,40 @@ fn check_all(
 #[test]
 fn perturb_evaluate_undo_roundtrips_bit_identically() {
     let scheds = saga::schedulers::benchmark_schedulers();
-    let perturber = GeneralPerturber::default();
-    for seed in [1u64, 7, 42] {
+    // general perturbations (structural edits included) on the 3–5-task
+    // chains, plus the Section VII perturber (weight-only) on rigid
+    // workflows: wide ready frontiers on 4–10-node networks
+    let mut inputs: Vec<(String, GeneralPerturber, Instance, StdRng)> = [1u64, 7, 42]
+        .into_iter()
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inst = initial_instance(&mut rng);
+            (
+                format!("seed {seed}"),
+                GeneralPerturber::default(),
+                inst,
+                rng,
+            )
+        })
+        .collect();
+    for (workflow, seed) in [("montage", 3u64), ("epigenomics", 11), ("cycles", 2)] {
+        let app = AppSpecific::new(workflow, 1.0).expect("known workflow");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut inst = initial_instance(&mut rng);
+        let inst = app.initial_instance(&mut rng);
+        inputs.push((
+            format!("{workflow} seed {seed}"),
+            app.perturber(),
+            inst,
+            rng,
+        ));
+    }
+    assert!(
+        inputs
+            .iter()
+            .any(|(_, _, inst, _)| inst.network.node_count() >= 8),
+        "the Section VII inputs must reach the 8–32-node fused-row band"
+    );
+    for (label, perturber, mut inst, mut rng) in inputs {
         let mut ctx = SchedContext::new();
         let mut fresh = SchedContext::new();
         let mut traces: Vec<RunTrace> = scheds.iter().map(|_| RunTrace::new()).collect();
@@ -76,7 +109,7 @@ fn perturb_evaluate_undo_roundtrips_bit_identically() {
                 &mut traces,
                 &dirty,
                 &mut fresh,
-                &format!("seed {seed} iter {iter} perturb"),
+                &format!("{label} iter {iter} perturb"),
             );
             if rng.gen_bool(0.5) {
                 // rejection path: revert, and the next evaluation's dirty
@@ -89,7 +122,7 @@ fn perturb_evaluate_undo_roundtrips_bit_identically() {
                     &mut traces,
                     &undo.revert_dirty_region(),
                     &mut fresh,
-                    &format!("seed {seed} iter {iter} revert"),
+                    &format!("{label} iter {iter} revert"),
                 );
             }
         }
