@@ -13,7 +13,7 @@
 //! that slice of the cells runs, against a per-shard checkpoint, and the
 //! summary is skipped; `saga-merge` the shards and re-run with `--resume`.
 
-use saga_experiments::engine::{BatchEngine, CellCheckpoint, Progress};
+use saga_experiments::engine::{BatchEngine, Progress};
 use saga_experiments::{cli, render, write_results_file};
 use saga_pisa::ablation::Strategy;
 use saga_pisa::{shard_cells, PisaConfig, SearchCell};
@@ -65,14 +65,7 @@ fn main() {
     }
     let total = cells.len();
     let cells = shard_cells(cells, shard);
-    let checkpoint = CellCheckpoint::open(&ckpt_path, resume).expect("open checkpoint");
-    if resume && checkpoint.loaded() > 0 {
-        eprintln!(
-            "resuming: {} cells already in {}",
-            checkpoint.loaded(),
-            ckpt_path.display()
-        );
-    }
+    let checkpoint = cli::open_checkpoint(&ckpt_path, resume);
     let engine = BatchEngine::new();
     let progress = Progress::new("ablation_search", cells.len());
     let results = engine.run_cells_or_exit(&cells, Some(&progress), Some(&checkpoint));

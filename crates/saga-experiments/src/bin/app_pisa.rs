@@ -21,7 +21,7 @@
 //! single-workflow runs), and rendering is skipped — `saga-merge` the
 //! shards, then re-run with `--resume` to render.
 
-use saga_experiments::engine::{derive_seed, BatchEngine, CellCheckpoint, Progress};
+use saga_experiments::engine::{derive_seed, BatchEngine, Progress};
 use saga_experiments::{benchmarking, cli, render, write_results_file};
 use saga_pisa::annealer::PisaConfig;
 use saga_pisa::app_specific::AppSpecific;
@@ -36,7 +36,7 @@ fn run_workflow(
     config: PisaConfig,
     resume: bool,
     shard: ShardSpec,
-    ckpt_override: Option<&str>,
+    args: &[String],
 ) {
     let schedulers = saga_schedulers::app_specific_schedulers();
     let names: Vec<String> = schedulers.iter().map(|s| s.name().to_string()).collect();
@@ -63,18 +63,8 @@ fn run_workflow(
     let total = cells.len();
     let cells = shard_cells(cells, shard);
     let base = format!("results/app_pisa_{workflow}_cells.jsonl");
-    let ckpt_path = match ckpt_override {
-        Some(p) => std::path::PathBuf::from(p),
-        None => shard.checkpoint_path(std::path::Path::new(&base)),
-    };
-    let checkpoint = CellCheckpoint::open(&ckpt_path, resume).expect("open checkpoint");
-    if resume && checkpoint.loaded() > 0 {
-        eprintln!(
-            "resuming: {} cells already in {}",
-            checkpoint.loaded(),
-            ckpt_path.display()
-        );
-    }
+    let ckpt_path = cli::checkpoint_path(args, shard, &base);
+    let checkpoint = cli::open_checkpoint(&ckpt_path, resume);
     let progress = Progress::new(format!("app_pisa/{workflow}"), cells.len());
     let results = engine.run_cells_or_exit(&cells, Some(&progress), Some(&checkpoint));
     if !shard.is_full() {
@@ -176,7 +166,6 @@ fn main() {
     let instances: usize = cli::arg_or(&args, "instances", 15);
     let resume = args.iter().any(|a| a == "--resume");
     let shard = cli::shard_arg(&args);
-    let ckpt_override = cli::arg_str(&args, "checkpoint");
     let config = PisaConfig {
         i_max: cli::arg_or(&args, "imax", 300),
         restarts: cli::arg_or(&args, "restarts", 2),
@@ -195,22 +184,13 @@ fn main() {
     } else {
         vec![workflow.as_str()]
     };
-    if ckpt_override.is_some() && workflows.len() > 1 {
+    if cli::arg_str(&args, "checkpoint").is_some() && workflows.len() > 1 {
         eprintln!("fatal: --checkpoint only applies to single-workflow runs (per-workflow files)");
         std::process::exit(2);
     }
     let engine = BatchEngine::new();
     for wf in workflows {
         println!("=== Section VII: application-specific PISA for {wf} ===\n");
-        run_workflow(
-            &engine,
-            wf,
-            &ccrs,
-            instances,
-            config,
-            resume,
-            shard,
-            ckpt_override.as_deref(),
-        );
+        run_workflow(&engine, wf, &ccrs, instances, config, resume, shard, &args);
     }
 }

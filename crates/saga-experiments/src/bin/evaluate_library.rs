@@ -33,26 +33,35 @@ fn main() {
     let default_path = "results/fig4_witnesses.jsonl".to_string();
     let path: String = cli::arg_or(&args, "library", default_path);
 
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read witness library {path}: {e} (run `fig4` first)"));
-    let lib = WitnessLibrary::from_jsonl(&text).expect("well-formed library");
-    println!("loaded {} witnesses from {path}", lib.records.len());
-
     let candidate: Box<dyn Scheduler> = if name.eq_ignore_ascii_case("ensemble") {
         Box::new(saga_schedulers::Ensemble::default_portfolio())
     } else {
-        saga_schedulers::by_name(&name).unwrap_or_else(|| panic!("unknown scheduler {name}"))
+        saga_schedulers::by_name(&name).unwrap_or_else(|| {
+            eprintln!("fatal: unknown scheduler {name:?}");
+            std::process::exit(2);
+        })
     };
+    let lib = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read witness library {path}: {e} (run `fig4` first)"))
+        .and_then(|text| {
+            WitnessLibrary::from_jsonl(&text)
+                .map_err(|e| format!("malformed witness library {path}: {e}"))
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("fatal: {e}");
+            std::process::exit(1);
+        });
+    println!("loaded {} witnesses from {path}", lib.records.len());
 
     let engine = BatchEngine::new();
     let progress = Progress::new("evaluate_library", lib.records.len());
     let rows: Vec<Option<Row>> = engine.map_ctx(lib.records.iter().collect(), |ctx, r| {
-        // candidate scoring needs only the baseline to resolve (a record
-        // whose target scheduler was renamed is still a scorable trap);
-        // revalidation additionally needs the target and counts as a
-        // mismatch when it is unknown
-        let row = saga_schedulers::by_name(&r.baseline).map(|baseline| {
-            let inst = r.instance().expect("stored instance is valid");
+        // candidate scoring needs only the baseline to resolve and the
+        // witness to decode (a record whose target scheduler was renamed is
+        // still a scorable trap); revalidation additionally needs the
+        // target, and a record failing any of the three counts as a mismatch
+        let scorable = saga_schedulers::by_name(&r.baseline).zip(r.instance().ok());
+        let row = scorable.map(|(baseline, inst)| {
             ctx.with_pinned(&inst, |ctx| {
                 let b = baseline.makespan_into(&inst, ctx);
                 let c = candidate.makespan_into(&inst, ctx);

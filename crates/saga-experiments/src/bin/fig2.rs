@@ -10,7 +10,7 @@
 //! `RAYON_NUM_THREADS`.
 //!
 //! Every instance row is a keyed unit of work
-//! (`fig2/{dataset}#k{k}#s{seed}`) appended to a [`RowCheckpoint`] JSONL as
+//! (`fig2/{dataset}#k{k}#s{seed}`) appended to a `RowCheckpoint` JSONL as
 //! it completes, so paper-scale 1000-instance budgets are resumable
 //! (`--resume`) and distributable: `--shard i/N` runs only this host's
 //! deterministic 1/N of the rows against a per-shard checkpoint
@@ -21,7 +21,7 @@
 //! Usage: `fig2 [--instances N] [--seed S] [--resume] [--shard i/N]
 //! [--checkpoint PATH]`.
 
-use saga_experiments::engine::{BatchEngine, Progress, RowCheckpoint};
+use saga_experiments::engine::{BatchEngine, Progress};
 use saga_experiments::{benchmarking, cli, render, write_results_file};
 
 fn main() {
@@ -37,17 +37,7 @@ fn main() {
     let generators = saga_datasets::all_generators();
     let dataset_names: Vec<String> = generators.iter().map(|g| g.name.to_string()).collect();
 
-    let checkpoint = RowCheckpoint::open(&ckpt_path, resume).unwrap_or_else(|e| {
-        eprintln!("fatal: cannot open checkpoint {}: {e}", ckpt_path.display());
-        std::process::exit(1);
-    });
-    if resume && checkpoint.loaded() > 0 {
-        eprintln!(
-            "resuming: {} rows already in {}",
-            checkpoint.loaded(),
-            ckpt_path.display()
-        );
-    }
+    let checkpoint = cli::open_checkpoint(&ckpt_path, resume);
     let key_of = |dataset: &str, k: usize| format!("fig2/{dataset}#k{k}#s{seed:016x}");
     // progress totals count only this shard's rows
     let total: usize = generators
@@ -66,24 +56,17 @@ fn main() {
     let mut done = 0usize;
     for gen in &generators {
         let key_of_k = |k: usize| key_of(gen.name, k);
-        let rows = engine
-            .dataset_makespans_sharded(
-                &schedulers,
-                gen,
-                instances,
-                seed,
-                &key_of_k,
-                shard,
-                Some(&progress),
-                Some(&checkpoint),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!(
-                    "fatal: checkpoint write failed: {e} — rows recorded before the failure \
-                     are flushed; re-run with --resume after freeing space"
-                );
-                std::process::exit(1);
-            });
+        let rows = engine.dataset_makespans_sharded(
+            &schedulers,
+            gen,
+            instances,
+            seed,
+            &key_of_k,
+            shard,
+            Some(&progress),
+            Some(&checkpoint),
+        );
+        let rows = cli::exit_on_write_failure(rows);
         done += rows.iter().flatten().count();
         if !shard.is_full() {
             continue;

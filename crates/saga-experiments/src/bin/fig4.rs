@@ -22,7 +22,7 @@
 //! overrides it) and skips rendering; merge the shards with `saga-merge`
 //! and re-run unsharded with `--resume` to render from the merged file.
 
-use saga_experiments::engine::{BatchEngine, CellCheckpoint, Progress};
+use saga_experiments::engine::{BatchEngine, Progress};
 use saga_experiments::{cli, render, write_results_file};
 use saga_pisa::{pairwise_cells, shard_cells, PairwiseMatrix, PisaConfig};
 
@@ -53,14 +53,7 @@ fn main() {
         "running PISA for {} of {total} ordered pairs (shard {shard}, {restarts} restarts x {imax} iters)...",
         cells.len()
     );
-    let checkpoint = CellCheckpoint::open(&ckpt_path, resume).expect("open checkpoint");
-    if resume && checkpoint.loaded() > 0 {
-        eprintln!(
-            "resuming: {} cells already in {}",
-            checkpoint.loaded(),
-            ckpt_path.display()
-        );
-    }
+    let checkpoint = cli::open_checkpoint(&ckpt_path, resume);
     let engine = BatchEngine::new();
     let progress = Progress::new("fig4", cells.len());
     let t0 = std::time::Instant::now();

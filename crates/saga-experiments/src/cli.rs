@@ -5,7 +5,9 @@
 //! unparseable `--imax 1e3` exits with status 2 and names the flag, instead
 //! of silently running the default budget.
 
+use crate::checkpoint::{Checkpoint, Record};
 use std::fmt;
+use std::path::Path;
 
 /// A `--flag value` pair that cannot be used. `flag` is the flag as
 /// written (`--imax`); `expected` is the type the value must parse as.
@@ -109,8 +111,40 @@ pub fn checkpoint_path(
 ) -> std::path::PathBuf {
     match arg_str(args, "checkpoint") {
         Some(p) => std::path::PathBuf::from(p),
-        None => shard.checkpoint_path(std::path::Path::new(base)),
+        None => shard.checkpoint_path(Path::new(base)),
     }
+}
+
+/// Opens the run's checkpoint at `path` (replaying it with `resume`) and
+/// announces how many units a resume replays. A checkpoint that cannot be
+/// opened exits with status 1 naming the path.
+pub fn open_checkpoint<R: Record>(path: &Path, resume: bool) -> Checkpoint<R> {
+    let checkpoint = Checkpoint::open(path, resume).unwrap_or_else(|e| {
+        eprintln!("fatal: cannot open checkpoint {}: {e}", path.display());
+        std::process::exit(1);
+    });
+    if checkpoint.loaded() > 0 {
+        eprintln!(
+            "resuming: {} {} already in {}",
+            checkpoint.loaded(),
+            R::UNITS,
+            path.display()
+        );
+    }
+    checkpoint
+}
+
+/// Unwraps a checkpointed grid run. A checkpoint write failure exits with
+/// status 1, noting that everything recorded before it is already flushed,
+/// so a `--resume` continues from there.
+pub fn exit_on_write_failure<T>(result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!(
+            "fatal: checkpoint write failed: {e} — everything recorded before the failure \
+             is flushed; re-run with --resume after freeing space"
+        );
+        std::process::exit(1);
+    })
 }
 
 /// Returns the first positional (non-flag) argument, if any.

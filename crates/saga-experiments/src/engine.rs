@@ -7,8 +7,8 @@
 //! factors the common machinery out once:
 //!
 //! * **Sharding** — cells fan out across rayon workers (the vendored rayon
-//!   uses dynamic chunk claiming, so skewed cells — mixed-size datasets,
-//!   pairwise blowup cells — don't straggle on one worker);
+//!   runs per-worker work-stealing deques, so skewed cells — mixed-size
+//!   datasets, pairwise blowup cells — don't straggle on one worker);
 //! * **Context reuse** — each worker takes one warm [`SchedContext`] from a
 //!   shared [`ContextPool`] via `map_init` and keeps it for its whole run,
 //!   so cells allocate nothing after warm-up, and the pool keeps the warmth
@@ -25,17 +25,17 @@
 //!   atomic counter, coherent under concurrency (the old per-dataset
 //!   `eprintln!` assumed sequential execution).
 
+use crate::checkpoint::{Checkpoint, Record};
+use crate::cli;
 use rayon::prelude::*;
 use saga_core::{BatchedSchedContext, ContextPool, Instance, SchedContext};
 use saga_pisa::annealer::AnnealScratch;
 use saga_pisa::{PisaResult, SearchCell};
 use saga_schedulers::Scheduler;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+pub use crate::checkpoint::{CellCheckpoint, RowCheckpoint};
 pub use saga_core::derive_seed;
 
 /// A coherent, concurrency-safe progress reporter for batch runs.
@@ -129,6 +129,50 @@ fn observe_workers(progress: Option<&Progress>) {
     }
 }
 
+/// A parallel run's checkpoint writes and their first error. Once a write
+/// has failed, workers start no new units (their results would be
+/// discarded with the error anyway) and the run returns that error, with
+/// everything recorded before it already flushed — a `--resume` continues
+/// from there.
+#[derive(Default)]
+struct WriteLatch {
+    write_error: Mutex<Option<std::io::Error>>,
+    failed: AtomicBool,
+}
+
+impl WriteLatch {
+    fn record<R: Record>(&self, checkpoint: Option<&Checkpoint<R>>, key: &str, value: &R::Input) {
+        let Some(Err(e)) = checkpoint.map(|c| c.record(key, value)) else {
+            return;
+        };
+        // a poisoned slot still holds a coherent Option; recover it rather
+        // than abort
+        let mut slot = self
+            .write_error
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if slot.is_none() {
+            *slot = Some(e);
+        }
+        self.failed.store(true, Ordering::Relaxed);
+    }
+
+    fn tripped(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    fn finish<T>(self, done: T) -> std::io::Result<T> {
+        let first_error = self
+            .write_error
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(done),
+        }
+    }
+}
+
 /// The batch evaluation engine. Owns the context pool; one engine per
 /// binary is enough (and keeps contexts warm across datasets).
 #[derive(Default)]
@@ -193,37 +237,18 @@ impl BatchEngine {
     /// are baked into the cell itself, so output is bit-identical for any
     /// `RAYON_NUM_THREADS`.
     ///
-    /// With a [`CellCheckpoint`], finished cells are appended to a JSONL
-    /// file as they complete and cells already present (matched by
-    /// [`SearchCell::key`]) are replayed instead of re-run — a multi-hour
-    /// paper-scale fig4 run survives interruption.
-    ///
-    /// A checkpoint *write* failure (full disk, closed pipe) no longer
-    /// aborts the process mid-grid: cells already in flight finish, cells
-    /// not yet started are skipped (their annealing work would be discarded
-    /// with the error anyway), and the first I/O error is returned — with
-    /// every cell recorded before it already flushed to the file, so a
-    /// `--resume` continues from there.
+    /// With a [`CellCheckpoint`], finished cells are appended as they
+    /// complete and cells already present (matched by [`SearchCell::key`])
+    /// replay instead of re-running. A write failure (full disk, closed
+    /// pipe) lets cells in flight finish, skips the rest, and returns the
+    /// first I/O error.
     pub fn run_cells(
         &self,
         cells: &[SearchCell],
         progress: Option<&Progress>,
         checkpoint: Option<&CellCheckpoint>,
     ) -> std::io::Result<Vec<PisaResult>> {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let write_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let failed = AtomicBool::new(false);
-        let note_write_error = |e: std::io::Error| {
-            // a poisoned slot still holds a coherent Option; recover it
-            // rather than abort
-            let mut slot = write_error
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-            failed.store(true, Ordering::Relaxed);
-        };
+        let latch = WriteLatch::default();
         // Eligible pairwise cells run in lockstep lane groups; everything
         // else — other cell kinds, oversized restart counts, cells the
         // checkpoint will replay — takes the scalar path.
@@ -233,11 +258,7 @@ impl BatchEngine {
             checkpoint.is_none_or(|c| c.stored(&cell.key()).is_none())
         });
         let finish = |key: &str, res: PisaResult| {
-            if let Some(c) = checkpoint {
-                if let Err(e) = c.record(key, &res) {
-                    note_write_error(e);
-                }
-            }
+            latch.record(checkpoint, key, &res);
             if let Some(p) = progress {
                 p.tick();
             }
@@ -257,7 +278,7 @@ impl BatchEngine {
                     // once a write failed, the run's results can never all be
                     // returned — don't burn hours annealing cells that would
                     // be thrown away with the error
-                    if failed.load(Ordering::Relaxed) {
+                    if latch.tripped() {
                         return unit.indices().iter().map(|&i| (i, None)).collect();
                     }
                     match unit {
@@ -294,38 +315,25 @@ impl BatchEngine {
         for (i, res) in by_unit.drain(..).flatten() {
             results[i] = res;
         }
-        let first_error = write_error
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(results
-                .into_iter()
-                // saga-lint: allow(error-discipline) — cells return None only after `failed` is set, which always records an error first; with no error recorded every cell ran
-                .map(|r| r.expect("no cell skipped without a recorded error"))
-                .collect()),
-        }
+        // cells come back None only after a failed write, which the latch
+        // returns first
+        latch
+            .finish(results)?
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| std::io::Error::other("cell skipped without a recorded write error"))
     }
 
     /// [`run_cells`](Self::run_cells) for experiment binaries: a checkpoint
-    /// write failure prints the error — noting that every cell recorded
-    /// before it is already flushed and resumable — and exits nonzero
-    /// instead of returning. Keeps the four PISA drivers' failure behavior
-    /// identical.
+    /// write failure exits through [`cli::exit_on_write_failure`]
+    /// instead of returning.
     pub fn run_cells_or_exit(
         &self,
         cells: &[SearchCell],
         progress: Option<&Progress>,
         checkpoint: Option<&CellCheckpoint>,
     ) -> Vec<PisaResult> {
-        self.run_cells(cells, progress, checkpoint)
-            .unwrap_or_else(|e| {
-                eprintln!(
-                    "fatal: checkpoint write failed: {e} — cells recorded before the failure \
-                     are flushed; re-run with --resume after freeing space"
-                );
-                std::process::exit(1);
-            })
+        cli::exit_on_write_failure(self.run_cells(cells, progress, checkpoint))
     }
 
     /// The fused fig2-class dataset loop: cell `k` *generates* instance `k`
@@ -413,10 +421,8 @@ impl BatchEngine {
     /// unsharded [`dataset_makespans`] path — same per-instance seed
     /// streams, same pinned-table evaluation — so the union of all shards'
     /// checkpoints reconstructs the 1-host run exactly.
-    ///
-    /// A checkpoint write failure skips rows not yet started (mirroring
-    /// [`run_cells`](Self::run_cells)) and returns the first I/O error with
-    /// everything recorded before it already flushed.
+    /// A checkpoint write failure is handled as in
+    /// [`run_cells`](Self::run_cells).
     #[allow(clippy::too_many_arguments)]
     pub fn dataset_makespans_sharded(
         &self,
@@ -429,9 +435,7 @@ impl BatchEngine {
         progress: Option<&Progress>,
         checkpoint: Option<&RowCheckpoint>,
     ) -> std::io::Result<Vec<Option<Vec<f64>>>> {
-        use std::sync::atomic::AtomicBool;
-        let write_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let failed = AtomicBool::new(false);
+        let latch = WriteLatch::default();
         let rows: Vec<Option<Vec<f64>>> = (0..count)
             .collect::<Vec<_>>()
             .into_par_iter()
@@ -450,7 +454,7 @@ impl BatchEngine {
                         }
                         return Some(stored);
                     }
-                    if failed.load(Ordering::Relaxed) {
+                    if latch.tripped() {
                         // a failed checkpoint write means the run can't
                         // complete; don't burn work that would be discarded
                         return None;
@@ -465,17 +469,7 @@ impl BatchEngine {
                             .map(|s| s.makespan_into(&inst, ctx))
                             .collect::<Vec<f64>>()
                     });
-                    if let Some(c) = checkpoint {
-                        if let Err(e) = c.record(&key, &row) {
-                            let mut slot = write_error
-                                .lock()
-                                .unwrap_or_else(|poisoned| poisoned.into_inner());
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                    }
+                    latch.record(checkpoint, &key, &row);
                     if let Some(p) = progress {
                         p.tick();
                     }
@@ -484,318 +478,7 @@ impl BatchEngine {
             )
             .collect();
         observe_workers(progress);
-        let first_error = write_error
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(rows),
-        }
-    }
-}
-
-/// One completed cell, as persisted in the checkpoint JSONL. The ratio and
-/// initial-ratio fields are stored as `f64::to_bits` hex strings — the
-/// checkpoint must replay *bit-identical* results, and JSON float printing
-/// wouldn't round-trip exactly (nor encode the unbounded cells' infinities).
-/// `ratio` repeats the value as a plain float purely for human readers;
-/// `None` encodes an unbounded cell, mirroring the witness-library format.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CellRecord {
-    key: String,
-    ratio_bits: String,
-    initial_bits: String,
-    evaluations: usize,
-    ratio: Option<f64>,
-    instance: serde_json::Value,
-}
-
-impl CellRecord {
-    fn new(key: &str, res: &PisaResult) -> std::io::Result<Self> {
-        let instance = serde_json::from_str(&res.instance.to_json())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(CellRecord {
-            key: key.to_string(),
-            ratio_bits: format!("{:016x}", res.ratio.to_bits()),
-            initial_bits: format!("{:016x}", res.initial_ratio.to_bits()),
-            evaluations: res.evaluations,
-            ratio: res.ratio.is_finite().then_some(res.ratio),
-            instance,
-        })
-    }
-
-    fn result(&self) -> Option<PisaResult> {
-        let bits = |s: &str| u64::from_str_radix(s, 16).ok().map(f64::from_bits);
-        Some(PisaResult {
-            instance: Instance::from_json(&self.instance.to_string()).ok()?,
-            ratio: bits(&self.ratio_bits)?,
-            initial_ratio: bits(&self.initial_bits)?,
-            evaluations: self.evaluations,
-        })
-    }
-}
-
-/// A JSONL checkpoint for [`BatchEngine::run_cells`]: every finished cell is
-/// appended (and flushed) as it completes, and a resumed run replays stored
-/// cells instead of re-running them. Cells are matched by
-/// [`SearchCell::key`], which encodes the budget and seed — changing
-/// `--imax`/`--restarts`/`--seed` makes old lines unmatchable rather than
-/// silently wrong. Malformed lines (e.g. a half-written line from a crash)
-/// are skipped with a warning, so a torn checkpoint only costs re-running
-/// the affected cell.
-pub struct CellCheckpoint {
-    done: BTreeMap<String, PisaResult>,
-    file: Mutex<std::fs::File>,
-    skipped: usize,
-}
-
-impl CellCheckpoint {
-    /// Opens `path` for checkpointing. With `resume`, existing well-formed
-    /// lines are loaded for replay and new cells append after them;
-    /// otherwise the file is truncated and the run starts clean.
-    ///
-    /// Malformed resume lines are counted ([`skipped`](Self::skipped)) and
-    /// summarized on stderr — a corrupted checkpoint is visible instead of
-    /// quietly re-running its cells.
-    pub fn open(path: &std::path::Path, resume: bool) -> std::io::Result<Self> {
-        let mut done = BTreeMap::new();
-        let mut unterminated = false;
-        let mut skipped = 0usize;
-        if resume {
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    unterminated = !text.is_empty() && !text.ends_with('\n');
-                    for (lineno, line) in text.lines().enumerate() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        let parsed = serde_json::from_str::<CellRecord>(line)
-                            .ok()
-                            .and_then(|r| Some((r.key.clone(), r.result()?)));
-                        match parsed {
-                            Some((key, res)) => {
-                                done.insert(key, res);
-                            }
-                            None => {
-                                skipped += 1;
-                                eprintln!(
-                                    "[checkpoint] skipping malformed line {} of {}",
-                                    lineno + 1,
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                    if skipped > 0 {
-                        eprintln!(
-                            "[checkpoint] {} corrupted/unparseable line(s) skipped in {} — \
-                             the affected cells will re-run",
-                            skipped,
-                            path.display()
-                        );
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(resume)
-            .truncate(!resume)
-            .write(true)
-            .open(path)?;
-        if unterminated {
-            // a crash mid-append left a torn final line (already skipped
-            // above); terminate it so the next record starts on its own
-            // line instead of merging into — and corrupting — the tear
-            writeln!(file)?;
-        }
-        Ok(CellCheckpoint {
-            done,
-            file: Mutex::new(file),
-            skipped,
-        })
-    }
-
-    /// Number of cells loaded from the file for replay.
-    pub fn loaded(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Number of malformed/unparseable lines skipped while loading for
-    /// resume (0 for a fresh run).
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// The stored result for `key`, if the checkpoint has it.
-    pub fn stored(&self, key: &str) -> Option<PisaResult> {
-        self.done.get(key).cloned()
-    }
-
-    /// Appends one finished cell and flushes, so an interruption loses at
-    /// most the cells in flight. An I/O failure (full disk, closed pipe) is
-    /// returned instead of panicking, so the driver can finish the batch
-    /// and surface the error with everything already recorded still intact.
-    pub fn record(&self, key: &str, res: &PisaResult) -> std::io::Result<()> {
-        let line = serde_json::to_string(&CellRecord::new(key, res)?)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        // a poisoned file mutex still wraps a usable handle: the writer that
-        // panicked completed or abandoned its line, and ours appends whole
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        writeln!(file, "{line}")?;
-        file.flush()
-    }
-}
-
-/// One keyed makespan row, as persisted in a [`RowCheckpoint`] JSONL.
-/// Makespans are stored as space-joined `f64::to_bits` hex words — replay
-/// must be bit-identical and JSON float printing wouldn't round-trip
-/// infinities or the last ulp.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RowRecord {
-    key: String,
-    bits: String,
-}
-
-impl RowRecord {
-    fn new(key: &str, row: &[f64]) -> Self {
-        RowRecord {
-            key: key.to_string(),
-            bits: row
-                .iter()
-                .map(|m| format!("{:016x}", m.to_bits()))
-                .collect::<Vec<_>>()
-                .join(" "),
-        }
-    }
-
-    fn row(&self) -> Option<Vec<f64>> {
-        if self.bits.trim().is_empty() {
-            return Some(Vec::new());
-        }
-        self.bits
-            .split_whitespace()
-            .map(|w| u64::from_str_radix(w, 16).ok().map(f64::from_bits))
-            .collect()
-    }
-}
-
-/// A JSONL checkpoint for keyed makespan rows — the fig2-class analogue of
-/// [`CellCheckpoint`] (there is no [`SearchCell`] behind a benchmarking
-/// row, so the row's key string is the contract instead). Same semantics:
-/// append-and-flush per row, resume replays stored keys, torn lines are
-/// counted and skipped, a tear is newline-terminated so later appends
-/// can't merge into it.
-pub struct RowCheckpoint {
-    done: BTreeMap<String, Vec<f64>>,
-    file: Mutex<std::fs::File>,
-    skipped: usize,
-}
-
-impl RowCheckpoint {
-    /// Opens `path` for checkpointing; with `resume`, existing well-formed
-    /// lines load for replay (malformed ones are counted and reported),
-    /// otherwise the file is truncated.
-    pub fn open(path: &std::path::Path, resume: bool) -> std::io::Result<Self> {
-        let mut done = BTreeMap::new();
-        let mut unterminated = false;
-        let mut skipped = 0usize;
-        if resume {
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    unterminated = !text.is_empty() && !text.ends_with('\n');
-                    for (lineno, line) in text.lines().enumerate() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        let parsed = serde_json::from_str::<RowRecord>(line)
-                            .ok()
-                            .and_then(|r| Some((r.key.clone(), r.row()?)));
-                        match parsed {
-                            Some((key, row)) => {
-                                done.insert(key, row);
-                            }
-                            None => {
-                                skipped += 1;
-                                eprintln!(
-                                    "[checkpoint] skipping malformed line {} of {}",
-                                    lineno + 1,
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                    if skipped > 0 {
-                        eprintln!(
-                            "[checkpoint] {} corrupted/unparseable line(s) skipped in {} — \
-                             the affected rows will re-run",
-                            skipped,
-                            path.display()
-                        );
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(resume)
-            .truncate(!resume)
-            .write(true)
-            .open(path)?;
-        if unterminated {
-            // terminate the torn final line so the next append starts clean
-            writeln!(file)?;
-        }
-        Ok(RowCheckpoint {
-            done,
-            file: Mutex::new(file),
-            skipped,
-        })
-    }
-
-    /// Number of rows loaded from the file for replay.
-    pub fn loaded(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Number of malformed/unparseable lines skipped while loading.
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// The stored makespan row for `key`, if present.
-    pub fn stored(&self, key: &str) -> Option<Vec<f64>> {
-        self.done.get(key).cloned()
-    }
-
-    /// Appends one finished row and flushes; I/O failures are returned, not
-    /// panicked, mirroring [`CellCheckpoint::record`].
-    pub fn record(&self, key: &str, row: &[f64]) -> std::io::Result<()> {
-        let line = serde_json::to_string(&RowRecord::new(key, row))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        writeln!(file, "{line}")?;
-        file.flush()
+        latch.finish(rows)
     }
 }
 
@@ -1042,6 +725,7 @@ mod tests {
 
     #[test]
     fn row_checkpoint_round_trips_bits_and_counts_tears() {
+        use std::io::Write;
         let path =
             std::env::temp_dir().join(format!("saga_rowckpt_test_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);

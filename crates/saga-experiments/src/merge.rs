@@ -5,10 +5,12 @@
 //! them back into one checkpoint with the guarantees distribution needs:
 //!
 //! * **Format-agnostic** — any JSONL whose lines are objects with a string
-//!   `"key"` field merges ([`CellCheckpoint`](crate::engine::CellCheckpoint)
-//!   cell records and [`RowCheckpoint`](crate::engine::RowCheckpoint) fig2
-//!   rows alike). Records are *never* reserialized: the output carries each
-//!   input line's exact bytes, so bit-encoded floats survive untouched.
+//!   `"key"` field merges (both record kinds of the checkpoint layer:
+//!   [`CellCheckpoint`](crate::engine::CellCheckpoint) cells and
+//!   [`RowCheckpoint`](crate::engine::RowCheckpoint) fig2 rows). Records are
+//!   *never* decoded or reserialized — which is why this reader stays apart
+//!   from the checkpoint's own — so the output carries each input line's
+//!   exact bytes and bit-encoded floats survive untouched.
 //! * **Collision-verified** — a key appearing in several inputs must carry
 //!   byte-identical record lines everywhere (a re-run shard, a doubled
 //!   input); identical duplicates are dropped and counted, *conflicting*
@@ -16,8 +18,8 @@
 //!   different results for one deterministic cell mean a corrupted or
 //!   mislabeled shard.
 //! * **Torn-line-tolerant** — malformed lines (a crash mid-append on some
-//!   host) are counted per input and skipped, mirroring the checkpoints'
-//!   own resume behavior.
+//!   host) are counted per input and skipped, mirroring the checkpoint's
+//!   resume reader.
 //! * **Canonical output** — records are written sorted by key. Checkpoint
 //!   files append in completion order, which varies with thread count and
 //!   scheduling, so byte-identity between a merged N-host run and a 1-host

@@ -50,6 +50,7 @@ impl Config {
                 "crates/saga-schedulers/src/",
                 "crates/saga-pisa/src/",
                 "crates/saga-experiments/src/engine.rs",
+                "crates/saga-experiments/src/checkpoint.rs",
             ],
             hot_paths: vec![
                 // the kernel and the incremental path must stay
@@ -108,6 +109,7 @@ impl Config {
             ],
             error_paths: vec![
                 "crates/saga-experiments/src/engine.rs",
+                "crates/saga-experiments/src/checkpoint.rs",
                 "crates/saga-experiments/src/lib.rs",
                 "crates/saga-core/src/instance.rs",
                 "crates/saga-pisa/src/library.rs",

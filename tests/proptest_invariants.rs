@@ -4,11 +4,18 @@
 //!   instances (including zero weights);
 //! * the reported makespan equals the maximum assignment finish time;
 //! * task-graph mutations preserve acyclicity and pred/succ symmetry;
-//! * JSON round-trips are lossless, including infinite link strengths.
+//! * JSON round-trips are lossless, including infinite link strengths;
+//! * the checkpoint resume reader, for both record kinds, survives a file
+//!   truncated at any byte or with any single byte flipped: it never
+//!   panics, loads every intact line, counts every other non-blank line as
+//!   skipped, and terminates a torn tail so the next append stays whole.
 
 use proptest::prelude::*;
 use saga::core::{Instance, Network, NodeId, TaskGraph};
+use saga::pisa::PisaResult;
 use saga::schedulers::Scheduler;
+use saga_experiments::engine::{CellCheckpoint, RowCheckpoint};
+use std::path::{Path, PathBuf};
 
 /// Strategy: a random DAG instance with up to 8 tasks and 4 nodes. Forward
 /// edges only, so acyclic by construction; weights may be zero (the paper's
@@ -155,5 +162,142 @@ proptest! {
                 prop_assert!(g.successors(e.task).iter().any(|s| s.task == t));
             }
         }
+    }
+}
+
+/// The two checkpoint record kinds.
+#[derive(Debug, Clone, Copy)]
+enum Ckpt {
+    Cells,
+    Rows,
+}
+
+/// Keys of the valid checkpoint the resume properties start from. Each
+/// pair differs in at least two bytes, so no single-byte flip can make one
+/// line's key collide with another's.
+const CKPT_KEYS: [&str; 3] = ["unit/alpha", "unit/bravo", "unit/charlie"];
+
+fn ckpt_path(kind: Ckpt, property: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "saga_proptest_ckpt_{}_{kind:?}_{property}.jsonl",
+        std::process::id()
+    ))
+}
+
+/// Resumes `path` as a `kind` checkpoint, appends one record under
+/// `append` if given, and returns `(loaded, skipped)`.
+fn ckpt_resume(kind: Ckpt, path: &Path, append: Option<&str>) -> (usize, usize) {
+    match kind {
+        Ckpt::Cells => {
+            let ck = CellCheckpoint::open(path, true).unwrap();
+            if let Some(key) = append {
+                let mut g = TaskGraph::new();
+                let a = g.add_task("a", 1.5);
+                let b = g.add_task("b", 2.0);
+                g.add_dependency(a, b, 0.5).unwrap();
+                let res = PisaResult {
+                    instance: Instance::new(Network::complete(&[1.0, 2.0], 1.0), g),
+                    ratio: f64::INFINITY,
+                    initial_ratio: 1.25,
+                    evaluations: 42,
+                };
+                ck.record(key, &res).unwrap();
+            }
+            (ck.loaded(), ck.skipped())
+        }
+        Ckpt::Rows => {
+            let ck = RowCheckpoint::open(path, true).unwrap();
+            if let Some(key) = append {
+                ck.record(key, &[1.5, f64::INFINITY, 0.1 + 0.2]).unwrap();
+            }
+            (ck.loaded(), ck.skipped())
+        }
+    }
+}
+
+/// The bytes of a valid checkpoint holding one `kind` record per
+/// [`CKPT_KEYS`] entry.
+fn ckpt_bytes(kind: Ckpt, path: &Path) -> Vec<u8> {
+    let _ = std::fs::remove_file(path);
+    for key in CKPT_KEYS {
+        ckpt_resume(kind, path, Some(key));
+    }
+    std::fs::read(path).unwrap()
+}
+
+/// Cuts a valid checkpoint after `cut` bytes (mod its length + 1): resume
+/// loads exactly the lines whose content survived whole, counts a partial
+/// line as skipped, and one more record reloads as one more unit.
+fn check_truncated_resume(kind: Ckpt, cut: usize) {
+    let path = ckpt_path(kind, "truncated");
+    let bytes = ckpt_bytes(kind, &path);
+    let cut = cut % (bytes.len() + 1);
+    std::fs::write(&path, &bytes[..cut]).unwrap();
+    // (start, end) of each line's content, newline excluded
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b'\n' {
+            spans.push((start, i));
+            start = i + 1;
+        }
+    }
+    let whole = spans.iter().filter(|&&(_, end)| end <= cut).count();
+    let partial = spans.iter().filter(|&&(s, e)| s < cut && cut < e).count();
+    assert_eq!(
+        ckpt_resume(kind, &path, Some("unit/fresh")),
+        (whole, partial)
+    );
+    assert_eq!(
+        ckpt_resume(kind, &path, None).0,
+        whole + 1,
+        "a record appended after a cut must land on its own line"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// XORs one byte of a valid checkpoint with a nonzero `mask`: resume
+/// accounts for every non-blank line as either loaded or skipped.
+fn check_flipped_resume(kind: Ckpt, pos: usize, mask: u8) {
+    let path = ckpt_path(kind, "flipped");
+    let mut bytes = ckpt_bytes(kind, &path);
+    let pos = pos % bytes.len();
+    bytes[pos] ^= mask;
+    std::fs::write(&path, &bytes).unwrap();
+    let non_blank = bytes
+        .split(|&b| b == b'\n')
+        .filter(|line| !String::from_utf8_lossy(line).trim().is_empty())
+        .count();
+    let (loaded, skipped) = ckpt_resume(kind, &path, None);
+    assert_eq!(
+        loaded + skipped,
+        non_blank,
+        "{}",
+        String::from_utf8_lossy(&bytes)
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn cell_checkpoint_resumes_any_truncation(cut in 0usize..1 << 16) {
+        check_truncated_resume(Ckpt::Cells, cut);
+    }
+
+    #[test]
+    fn row_checkpoint_resumes_any_truncation(cut in 0usize..1 << 16) {
+        check_truncated_resume(Ckpt::Rows, cut);
+    }
+
+    #[test]
+    fn cell_checkpoint_accounts_for_any_byte_flip(pos in 0usize..1 << 16, mask in 1u8..=255) {
+        check_flipped_resume(Ckpt::Cells, pos, mask);
+    }
+
+    #[test]
+    fn row_checkpoint_accounts_for_any_byte_flip(pos in 0usize..1 << 16, mask in 1u8..=255) {
+        check_flipped_resume(Ckpt::Rows, pos, mask);
     }
 }
